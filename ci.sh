@@ -21,8 +21,8 @@ cargo build --offline --release --workspace
 # the chaos coverage invariant with breaker states in the determinism
 # fingerprint, the Small-tier population identity + flat-cost pass
 # (touched-only vs full-partition settle, 10x idle growth), and the
-# batched-emit/coalescing differential (sequential vs pool-batched vs
-# coalesced frames, across shard counts).
+# frame-coalescing identity (coalesce 8 shard-invariant and
+# business-identical to per-document emit).
 echo "== experiments --quick (identity assertions) =="
 cargo run --offline --release -q -p b2b-bench --bin experiments -- --quick
 
@@ -58,14 +58,7 @@ B2B_SHARDS=0 cargo test --offline -q --workspace
 echo "== cargo test (B2B_WIRE_FORMAT=binary) =="
 B2B_WIRE_FORMAT=binary cargo test --offline -q --workspace
 
-# Sixth pass with the pool-batched emit path disabled: every outbound
-# document takes the sequential per-document encode+send path, and the
-# whole suite must agree with the batched default byte for byte (the
-# differential contract in tests/sharding.rs, run here suite-wide).
-echo "== cargo test (B2B_EMIT_BATCH=0, sequential emit) =="
-B2B_EMIT_BATCH=0 cargo test --offline -q --workspace
-
-# Seventh pass with aggressive frame coalescing: same-endpoint emit
+# Sixth pass with aggressive frame coalescing: same-endpoint emit
 # batches ride the wire as multi-document checksummed frames, split and
 # acked as a unit. Business outcomes must be unchanged.
 echo "== cargo test (B2B_EMIT_COALESCE=8) =="
@@ -82,6 +75,12 @@ B2B_POOL_STRESS=1 B2B_SHARDS=4 cargo test --offline -q --test sharding
 # instead of regenerating. Idempotent: existing fixtures are reused.
 echo "== population fixtures (Large + Huge tiers) =="
 cargo run --offline --release -q -p b2b-bench --bin experiments -- --fixtures
+
+# perfbench is a workspace of its own, so none of the passes above
+# build it; its self-test catches engine API changes that break the
+# benchmark.
+echo "== perfbench self-test =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Benches are not run in CI, but they must keep compiling.
 echo "== cargo bench --no-run =="

@@ -74,7 +74,7 @@ fn main() {
         ("e19", "Persistent-worker runtime: pool utilization, per-session memory", e19),
         ("e20", "Compact binary wire format: zero-copy decode, per-format codec cost", e20),
         ("e21", "Population-scale settle: touched-only rounds, million-session harness", e21),
-        ("e22", "Parallel emit path: pool-batched encode, per-partner frame coalescing", e22),
+        ("e22", "Emit path: per-partner frame coalescing", e22),
     ];
     for (id, title, run) in experiments {
         if want(id) {
@@ -2144,10 +2144,9 @@ fn e22() {
 
     // Part 2: the population harness in bulk-traffic shape — whole
     // waves initiated with deferred settles, so every wave's RFQs drain
-    // through one batched emit pass and Zipf-heavy partners get real
-    // frame coalescing. Batched emit at coalesce 1 must be
-    // byte-identical to the sequential reference; coalesce 8 must be
-    // shard-invariant and business-identical.
+    // through one emit pass and Zipf-heavy partners get real frame
+    // coalescing. Coalesce 8 must be shard-invariant and
+    // business-identical to coalesce 1.
     let e21_baseline = {
         let read = |path: &str, key: &str| -> Option<f64> {
             let text = std::fs::read_to_string(path).ok()?;
@@ -2163,16 +2162,7 @@ fn e22() {
     for tier in [SizeTier::Small, SizeTier::Medium] {
         let plan = PopulationPlan::generate(tier, DEFAULT_POPULATION_SEED);
         let bulk = PopulationConfig { bulk_initiate: true, ..Default::default() };
-        let seq = run_population(&plan, &PopulationConfig { emit_batch: false, ..bulk.clone() })
-            .expect("sequential emit run");
-        let batched = run_population(&plan, &bulk).expect("batched emit run");
-        assert_eq!(
-            seq.fingerprint,
-            batched.fingerprint,
-            "E22: batched emit (coalesce 1) diverged from the sequential reference at {}",
-            tier.name()
-        );
-        assert!(batched.encode_batches > 0, "E22: batched run never batch-encoded");
+        let seq = run_population(&plan, &bulk).expect("coalesce-1 emit run");
         let coalesced =
             run_population(&plan, &PopulationConfig { emit_coalesce: 8, ..bulk.clone() })
                 .expect("coalesced emit run");
@@ -2197,32 +2187,30 @@ fn e22() {
         let per_doc = |r: &b2b_bench::population::PopulationReport| {
             r.alloc.allocations as f64 / r.routed_docs.max(1) as f64
         };
-        let (seq_allocs, batched_allocs) = (per_doc(&seq), per_doc(&coalesced));
+        let (seq_allocs, coalesced_allocs) = (per_doc(&seq), per_doc(&coalesced));
         println!(
             "population {} ({} sessions, bulk waves): {seq_allocs:.1} allocs/routed doc \
-             sequential -> {batched_allocs:.1} batched+coalesced ({} batches, {} frames)",
+             per-document -> {coalesced_allocs:.1} coalesced ({} frames)",
             tier.name(),
             plan.traffic.len(),
-            coalesced.encode_batches,
             coalesced.coalesced_frames,
         );
         if tier == SizeTier::Medium {
             assert!(
-                batched_allocs < e21_baseline,
-                "E22: Medium-tier batched emit must beat E21's {e21_baseline:.0} \
-                 allocs/routed doc, got {batched_allocs:.1}"
+                coalesced_allocs < e21_baseline,
+                "E22: Medium-tier coalesced emit must beat E21's {e21_baseline:.0} \
+                 allocs/routed doc, got {coalesced_allocs:.1}"
             );
             println!(
                 "  vs E21 baseline ({e21_baseline:.0} allocs/routed doc): {:.1} saved",
-                e21_baseline - batched_allocs
+                e21_baseline - coalesced_allocs
             );
         }
         tier_rows.push(format!(
             "    {{\"tier\": \"{}\", \"seq_allocs_per_routed_doc\": {seq_allocs:.1}, \
-             \"batched_allocs_per_routed_doc\": {batched_allocs:.1}, \
-             \"encode_batches\": {}, \"coalesced_frames\": {}}}",
+             \"coalesced_allocs_per_routed_doc\": {coalesced_allocs:.1}, \
+             \"coalesced_frames\": {}}}",
             tier.name(),
-            coalesced.encode_batches,
             coalesced.coalesced_frames,
         ));
     }
@@ -2465,25 +2453,16 @@ fn quick_identity() {
         );
     }
 
-    // E22: the batched emit path is invisible — a Small-tier bulk-wave
-    // population run with pool-batched encode (coalesce 1) is
-    // byte-identical to the sequential emit reference, the coalescing
-    // run (8-doc frames) is byte-identical across shard counts and
-    // business-identical to sequential, and both new paths really ran.
+    // E22: a Small-tier bulk-wave population run with 8-doc coalesced
+    // frames is byte-identical across shard counts, business-identical
+    // to per-document emit, and really built frames.
     {
         use b2b_bench::population::{
             run_population, PopulationConfig, PopulationPlan, DEFAULT_POPULATION_SEED,
         };
         let plan = PopulationPlan::generate(SizeTier::Small, DEFAULT_POPULATION_SEED);
         let bulk = PopulationConfig { bulk_initiate: true, ..Default::default() };
-        let seq = run_population(&plan, &PopulationConfig { emit_batch: false, ..bulk.clone() })
-            .expect("E22 sequential emit");
-        let batched = run_population(&plan, &bulk).expect("E22 batched emit");
-        assert_eq!(
-            seq.fingerprint, batched.fingerprint,
-            "E22: batched emit diverged from the sequential reference"
-        );
-        assert!(batched.encode_batches > 0, "E22: the batch encoder never ran");
+        let seq = run_population(&plan, &bulk).expect("E22 per-document emit");
         let coalesced =
             run_population(&plan, &PopulationConfig { emit_coalesce: 8, ..bulk.clone() })
                 .expect("E22 coalesced emit");
@@ -2501,8 +2480,7 @@ fn quick_identity() {
             "E22: frame coalescing changed business outcomes"
         );
         println!(
-            "  E22: batched emit byte-identical to sequential; {} coalesced frames \
-             shard-invariant with identical outcomes",
+            "  E22: {} coalesced frames shard-invariant with identical outcomes",
             coalesced.coalesced_frames,
         );
     }

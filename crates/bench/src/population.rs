@@ -302,15 +302,12 @@ pub struct PopulationConfig {
     pub full_partition: bool,
     /// Inject wire faults: 0.5% loss + 1% duplicates (all seeded).
     pub faults: bool,
-    /// Pool-batched outbound encode (off = the sequential emit
-    /// reference path; differential testing of PR 10).
-    pub emit_batch: bool,
     /// Max consecutive same-partner outbound documents per wire frame
     /// (1 = classic per-document payloads).
     pub emit_coalesce: usize,
     /// Initiate each traffic wave with deferred settles: the whole
     /// wave's RFQs drain through *one* settle pass — the bulk shape
-    /// that exercises the pool-batched emit and the frame coalescer.
+    /// that gives the frame coalescer consecutive same-partner sends.
     /// Off = E21's classic one-settle-per-initiate traffic.
     pub bulk_initiate: bool,
 }
@@ -322,7 +319,6 @@ impl Default for PopulationConfig {
             interpreted: false,
             full_partition: false,
             faults: true,
-            emit_batch: true,
             emit_coalesce: 1,
             bulk_initiate: false,
         }
@@ -438,7 +434,6 @@ impl Population {
         hub.set_interpreted_transforms(cfg.interpreted);
         hub.set_interpreted_rules(cfg.interpreted);
         hub.set_full_partition_settle(cfg.full_partition);
-        hub.set_batched_emit(cfg.emit_batch);
         hub.set_emit_coalesce(cfg.emit_coalesce);
         let mut partners = Vec::with_capacity(plan.partners.len());
         let mut agreement_ids = Vec::with_capacity(plan.partners.len());
@@ -523,7 +518,7 @@ impl Population {
     /// Initiates one session toward partner `index` with the settle
     /// deferred to the next [`step`](Self::step): a wave initiated this
     /// way drains through one emit pass, so consecutive same-partner
-    /// RFQs batch-encode on the pool and coalesce into shared frames.
+    /// RFQs can coalesce into shared frames.
     pub fn initiate_deferred(&mut self, index: usize) -> Result<CorrelationId> {
         let rfq = self.next_rfq();
         self.hub.initiate_deferred(&self.agreement_ids[index], rfq)
@@ -597,9 +592,6 @@ pub struct PopulationReport {
     pub sim_ms: u64,
     /// Hub documents routed to sessions.
     pub routed_docs: u64,
-    /// Pool-batched outbound encode rounds the hub ran (0 when
-    /// `emit_batch` is off).
-    pub encode_batches: u64,
     /// Multi-document wire frames the hub's emit coalescer built (0 at
     /// `emit_coalesce` 1).
     pub coalesced_frames: u64,
@@ -660,16 +652,6 @@ pub fn run_population(plan: &PopulationPlan, cfg: &PopulationConfig) -> Result<P
     }
     let settle = pop.hub.settle_metrics();
     let profile = pop.hub.stage_profile();
-    // The emit-path counters deliberately differ between the batched and
-    // sequential emit modes (they *count* the batching), so the
-    // fingerprint zeroes them to stay comparable across emit
-    // configurations — E22's differential relies on this. Their own
-    // shard-invariance is pinned by the sharding proptests; here they are
-    // reported as explicit fields instead.
-    let mut stage_counters = profile.counters;
-    stage_counters.encode_batches = 0;
-    stage_counters.coalesced_frames = 0;
-    stage_counters.emit_buffer_reuses = 0;
     let fingerprint = format!(
         "stats={:?} wf={:?} completed={} replies={} dups={} stages={:?} cache={:?} \
          health={:?} breakers={:?} dead={} sim={} net={:?} settle=({},{},{})",
@@ -678,7 +660,7 @@ pub fn run_population(plan: &PopulationPlan, cfg: &PopulationConfig) -> Result<P
         pop.hub.completed_sessions(),
         pop.replies(),
         pop.duplicates_suppressed(),
-        stage_counters,
+        profile.counters,
         pop.hub.codec_cache_stats(),
         pop.hub.health_stats(),
         pop.hub.breaker_states(),
@@ -698,7 +680,6 @@ pub fn run_population(plan: &PopulationPlan, cfg: &PopulationConfig) -> Result<P
         wall_ms,
         sim_ms: pop.net.now().as_millis() - sim_start,
         routed_docs: profile.counters.routed_documents,
-        encode_batches: profile.counters.encode_batches,
         coalesced_frames: profile.counters.coalesced_frames,
         alloc,
         settle,
@@ -908,17 +889,15 @@ mod tests {
     }
 
     #[test]
-    fn bulk_waves_match_per_initiate_runs_and_exercise_the_batch_encoder() {
+    fn bulk_waves_match_per_initiate_runs_and_coalesce_across_shards() {
         let plan = PopulationPlan::generate(SizeTier::Tiny, 11);
         let classic = run_population(&plan, &PopulationConfig::default()).expect("classic");
         let bulk_cfg = PopulationConfig { bulk_initiate: true, ..PopulationConfig::default() };
         let bulk = run_population(&plan, &bulk_cfg).expect("bulk");
         // Deferring a wave changes *when* first legs settle, not what the
-        // population computes: completions and replies must agree, and the
-        // single settle pass per wave must drive the pooled batch encoder.
+        // population computes: completions and replies must agree.
         assert_eq!(classic.completed, bulk.completed);
         assert_eq!(classic.replies, bulk.replies);
-        assert!(bulk.encode_batches > 0, "bulk waves must hit the batch encoder");
         // Coalesce > 1 changes the envelope count, so on this lossy network
         // it lawfully draws a different fault sequence than coalesce = 1;
         // what must still hold is shard-invariance within the mode.
@@ -932,21 +911,5 @@ mod tests {
             "coalesced run diverged across shard counts"
         );
         assert!(coalesced.coalesced_frames > 0, "coalesce=8 must emit multi-part frames");
-    }
-
-    #[test]
-    fn flat_cost_is_flat_at_tiny_scale() {
-        let report = run_flat_cost(SizeTier::Tiny, 3, 2, 40, 24).expect("flat cost");
-        assert_eq!(report.base.active_sessions, report.grown.active_sessions);
-        assert!(
-            report.grown.idle_sessions >= report.base.idle_sessions * 5,
-            "idle population must have grown substantially ({} -> {})",
-            report.base.idle_sessions,
-            report.grown.idle_sessions
-        );
-        assert!(
-            report.max_drift() <= 0.05,
-            "settle cost must stay flat under idle growth: {report:?}"
-        );
     }
 }

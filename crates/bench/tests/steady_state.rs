@@ -6,11 +6,32 @@
 //! pump — no hidden per-document key allocations, no cache churn. These
 //! tests pin both properties; a regression that reintroduces per-decode
 //! key strings or per-apply program recompilation fails them.
+//!
+//! [`alloc_count::measure`] counts process-wide, so a measurement is
+//! only exact while no other thread allocates. Every test here holds
+//! [`serial`] for its whole body, which keeps libtest's parallel runner
+//! from mixing sibling tests' traffic into a delta.
 
 use b2b_bench::alloc_count;
 use b2b_document::formats::sample_edi_po;
 use b2b_document::{interned_count, FormatId, FormatRegistry};
 use b2b_transform::{TransformContext, TransformRegistry};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this binary and returns once the process is
+/// allocation-quiet. Holding the lock keeps sibling tests out, but the
+/// harness itself still allocates while it retires the previous test and
+/// spawns the next one; those threads then block on this lock, so the
+/// wait ends as soon as a 10 ms window passes with no allocation
+/// anywhere. A panicking test poisons the lock; the next test still
+/// runs, since the guarded state is `()`.
+fn serial() -> MutexGuard<'static, ()> {
+    static GUARD: Mutex<()> = Mutex::new(());
+    let guard = GUARD.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let window = std::time::Duration::from_millis(10);
+    while alloc_count::measure(|| std::thread::sleep(window)).1.allocations > 0 {}
+    guard
+}
 
 /// One steady-state unit of binding work: decode wire bytes, transform
 /// to normalized, transform back, re-encode.
@@ -28,6 +49,7 @@ fn pump_once(
 
 #[test]
 fn repeated_po_round_trips_are_allocation_steady() {
+    let _serial = serial();
     let formats = FormatRegistry::with_builtins();
     let transforms = TransformRegistry::with_builtins();
     let ctx = TransformContext::new("ACME", "GADGET", "000000042", "i-steady");
@@ -58,6 +80,7 @@ fn repeated_po_round_trips_are_allocation_steady() {
 
 #[test]
 fn pool_rounds_allocate_nothing_after_warm_up() {
+    let _serial = serial();
     // The persistent worker pool's dispatch path is allocation-free: a
     // round publishes a borrowed job pointer through pre-existing shared
     // state, workers self-schedule with atomic fetch-adds, and the
@@ -94,6 +117,7 @@ fn pool_rounds_allocate_nothing_after_warm_up() {
 
 #[test]
 fn binary_decode_allocations_are_independent_of_text_payload() {
+    let _serial = serial();
     // The zero-copy contract of the binary codec: a cache-miss decode
     // borrows every text node from the payload `Bytes`, so allocator
     // traffic depends only on the document's *structure* — two documents
@@ -153,6 +177,7 @@ fn binary_decode_allocations_are_independent_of_text_payload() {
 
 #[test]
 fn settle_cost_is_independent_of_idle_session_population() {
+    let _serial = serial();
     // The touched-only settle contract at the harness level: grow the
     // idle-session population 10x and run the *identical* active burst —
     // per-round planner work (instances moved into shard slices) and
@@ -193,6 +218,7 @@ fn settle_cost_is_independent_of_idle_session_population() {
 
 #[test]
 fn interning_the_same_names_again_allocates_nothing() {
+    let _serial = serial();
     // Warm the interner with the vocabulary, then re-intern it: hits on
     // the read path must not touch the allocator at all.
     let names = ["envelope", "beg", "po1", "line_no", "quantity", "unit_price"];
@@ -207,4 +233,20 @@ fn interning_the_same_names_again_allocates_nothing() {
     });
     assert_eq!(interned_count(), before, "re-interning grew the table");
     assert_eq!(delta.allocations, 0, "re-interning allocated: {delta:?}");
+}
+
+#[test]
+fn flat_cost_is_flat_at_tiny_scale() {
+    use b2b_bench::population::{run_flat_cost, SizeTier};
+
+    let _serial = serial();
+    let report = run_flat_cost(SizeTier::Tiny, 3, 2, 40, 24).expect("flat cost");
+    assert_eq!(report.base.active_sessions, report.grown.active_sessions);
+    assert!(
+        report.grown.idle_sessions >= report.base.idle_sessions * 5,
+        "idle population must have grown substantially ({} -> {})",
+        report.base.idle_sessions,
+        report.grown.idle_sessions
+    );
+    assert!(report.max_drift() <= 0.05, "settle cost must stay flat under idle growth: {report:?}");
 }

@@ -164,10 +164,6 @@ pub struct IntegrationEngine {
     pub(crate) stats: IntegrationStats,
     /// Worker count for the execute stage (`B2B_SHARDS`, default 1).
     pub(crate) shards: usize,
-    /// Whether the emit stage pre-encodes outbound batches on the worker
-    /// pool (`B2B_EMIT_BATCH`, default on). Off = the sequential
-    /// reference path, byte-identical by construction.
-    pub(crate) emit_batch: bool,
     /// Max consecutive same-partner documents coalesced into one wire
     /// frame (`B2B_EMIT_COALESCE`, default 1 = no frames).
     pub(crate) emit_coalesce: usize,
@@ -232,10 +228,6 @@ impl IntegrationEngine {
         if std::env::var("B2B_RULES").is_ok_and(|v| v == "interpreted") {
             wf.rules_mut().set_interpreted(true);
         }
-        // `B2B_EMIT_BATCH=0` falls back to the sequential per-document
-        // emit path (the differential reference); default is the
-        // pool-batched path, byte-identical by construction.
-        let emit_batch = !std::env::var("B2B_EMIT_BATCH").is_ok_and(|v| v == "0" || v == "false");
         // `B2B_EMIT_COALESCE=<n>` coalesces up to n consecutive outbound
         // documents to the same partner into one wire frame; the default
         // of 1 sends classic per-document payloads.
@@ -261,7 +253,6 @@ impl IntegrationEngine {
             replay_origins: BTreeMap::new(),
             stats: IntegrationStats::default(),
             shards,
-            emit_batch,
             emit_coalesce,
             emit_frames: BTreeMap::new(),
             frame_scratch: Vec::new(),
@@ -334,14 +325,6 @@ impl IntegrationEngine {
     /// byte-identical to this; production code never needs it.
     pub fn set_full_partition_settle(&mut self, full: bool) {
         self.wf.set_full_partition_settle(full);
-    }
-
-    /// Switches the emit stage between the pool-batched outbound encode
-    /// (default) and the sequential per-document reference path.
-    /// Differential tests prove the batched path is byte-identical to
-    /// this; production code never needs it off.
-    pub fn set_batched_emit(&mut self, batched: bool) {
-        self.emit_batch = batched;
     }
 
     /// Sets the max consecutive same-partner outbound documents
@@ -543,9 +526,8 @@ impl IntegrationEngine {
     /// the session's instances are created and scheduled but nothing
     /// moves until the next [`pump`](Self::pump) (or another initiate)
     /// settles. Initiating a whole wave this way lets one settle pass
-    /// drain every first-leg document through a single emit batch —
-    /// the bulk-traffic shape the pool-batched emit path (PR 10) is
-    /// built for.
+    /// drain every first-leg document through a single emit pass —
+    /// the bulk-traffic shape frame coalescing is built for.
     pub fn initiate_deferred(&mut self, agreement_id: &str, po: Document) -> Result<CorrelationId> {
         let agreement = self
             .agreements

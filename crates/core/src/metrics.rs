@@ -188,14 +188,9 @@ pub struct StageCounters {
     /// Outbox documents the emit stage routed between instances / onto
     /// the wire.
     pub emitted_documents: u64,
-    /// Emit passes whose outbound encodes ran as one pool batch (PR 10).
-    pub encode_batches: u64,
     /// Batch frames sent on the wire, each coalescing ≥ 2 consecutive
     /// outbound documents to one partner (PR 10).
     pub coalesced_frames: u64,
-    /// Outbound pool encodes that reused a pooled per-slot buffer instead
-    /// of growing a fresh one (PR 10).
-    pub emit_buffer_reuses: u64,
 }
 
 impl fmt::Display for StageCounters {
@@ -203,7 +198,7 @@ impl fmt::Display for StageCounters {
         write!(
             f,
             "{} pumps, edge {}+{}n+{}d, {} routed, {} settles, {} emitted, \
-             emit {}b/{}f/{}r",
+             {} frames",
             self.pumps,
             self.edge_payloads,
             self.edge_notices,
@@ -211,9 +206,7 @@ impl fmt::Display for StageCounters {
             self.routed_documents,
             self.settle_passes,
             self.emitted_documents,
-            self.encode_batches,
-            self.coalesced_frames,
-            self.emit_buffer_reuses
+            self.coalesced_frames
         )
     }
 }

@@ -110,18 +110,6 @@ struct ParseCell(std::cell::UnsafeCell<Option<b2b_document::Result<Document>>>);
 
 unsafe impl Sync for ParseCell {}
 
-/// One slot of batch-encode state: a pooled scratch buffer that survives
-/// across emit passes (so steady-state outbound encodes append into a
-/// warm allocation) and the frozen result of this pass. Safety argument
-/// as for [`ParseCell`]: the pool claims each index exactly once.
-#[derive(Default)]
-struct EncodeSlot {
-    buf: std::cell::UnsafeCell<Vec<u8>>,
-    out: std::cell::UnsafeCell<Option<Result<Bytes, b2b_document::DocumentError>>>,
-}
-
-unsafe impl Sync for EncodeSlot {}
-
 /// What the edge rejects (and quarantines) without involving routing.
 #[derive(Debug)]
 pub enum EdgeError {
@@ -154,9 +142,6 @@ pub(crate) struct Edge {
     /// Reusable encode buffers, one per (format, kind): after warm-up,
     /// outbound encodes append into an existing allocation.
     encode_buffers: FnvMap<(FormatId, DocKind), Vec<u8>>,
-    /// Pooled per-index scratch buffers for the batched emit path; grows
-    /// to the largest batch seen and is reused across emit passes.
-    emit_slots: Vec<EncodeSlot>,
     /// Reused JSON scratch for failure-notice bodies.
     notice_scratch: String,
     cache_stats: CodecCacheStats,
@@ -174,7 +159,6 @@ impl Edge {
             dead_letters: DeadLetterQueue::default(),
             decode_memo: DecodeMemo::new(DECODE_MEMO_CAP),
             encode_buffers: FnvMap::default(),
-            emit_slots: Vec::new(),
             notice_scratch: String::new(),
             cache_stats: CodecCacheStats::default(),
         })
@@ -335,68 +319,6 @@ impl Edge {
                 self.encode_buffers.insert(key, buf);
                 Ok(bytes)
             }
-        }
-    }
-
-    /// Encodes a batch of outbound documents, farming the work out to
-    /// the worker pool into pooled per-slot buffers (PR 10). Returns one
-    /// result per document, in order, plus how many slots arrived warm
-    /// (their scratch buffer already existed from an earlier pass).
-    ///
-    /// Unlike [`encode`](Self::encode), this does NOT touch the
-    /// per-(format, kind) buffer accounting — the sequential replay
-    /// calls [`note_precomputed_encode`](Self::note_precomputed_encode)
-    /// per document so [`CodecCacheStats`] evolves exactly as if each
-    /// document had been encoded inline, keeping fingerprints identical
-    /// across the batched and sequential paths.
-    pub fn encode_batch(
-        &mut self,
-        docs: &[&Document],
-        pool: &b2b_wfms::WorkerPool,
-        chunk: usize,
-    ) -> (Vec<Result<Bytes, b2b_document::DocumentError>>, u64) {
-        let warm = self.emit_slots.len().min(docs.len()) as u64;
-        while self.emit_slots.len() < docs.len() {
-            self.emit_slots.push(EncodeSlot::default());
-        }
-        let slots = &self.emit_slots[..docs.len()];
-        let formats = &self.formats;
-        let encode_one = |k: usize| {
-            // SAFETY: each index is claimed exactly once (by the pool or
-            // by this loop), so the slot access is exclusive.
-            let buf = unsafe { &mut *slots[k].buf.get() };
-            buf.clear();
-            let result = formats.encode_into(docs[k], buf).map(|()| Bytes::copy_from_slice(buf));
-            unsafe { *slots[k].out.get() = Some(result) };
-        };
-        if docs.len() > 1 && pool.workers() > 0 {
-            pool.run(docs.len(), chunk, &encode_one);
-        } else {
-            (0..docs.len()).for_each(encode_one);
-        }
-        let out = slots
-            .iter()
-            .map(|slot| {
-                // SAFETY: the pool has quiesced; access is exclusive again.
-                unsafe { (*slot.out.get()).take().expect("every slot was encoded") }
-            })
-            .collect();
-        (out, warm)
-    }
-
-    /// Books a pre-computed batch encode against the per-(format, kind)
-    /// buffer accounting, replicating what [`encode`](Self::encode)
-    /// would have done for this document: a reuse if the buffer exists,
-    /// otherwise an alloc plus buffer insertion. Called from the
-    /// sequential replay so cache counters are independent of which path
-    /// produced the bytes.
-    pub fn note_precomputed_encode(&mut self, doc: &Document) {
-        let key = (doc.format().clone(), doc.kind());
-        if self.encode_buffers.contains_key(&key) {
-            self.cache_stats.encode_buffer_reuses += 1;
-        } else {
-            self.cache_stats.encode_buffer_allocs += 1;
-            self.encode_buffers.insert(key, Vec::with_capacity(256));
         }
     }
 

@@ -333,49 +333,16 @@ impl IntegrationEngine {
         Ok(())
     }
 
-    /// Routes one emit pass's outbox, the outbound mirror of the decode
-    /// batch (PR 10): wire-bound documents are pre-encoded as one batch
-    /// on the worker pool into pooled buffers, then every output replays
-    /// sequentially through [`route_one_pre`](Self::route_one_pre) in
-    /// canonical outbox order, so outcomes are byte-identical to the
-    /// per-document path — the parallel phase only pre-computes encodes
-    /// the replay would have done inline. Coalesced frames accumulated
-    /// during the replay are flushed at the end of the pass.
+    /// Routes one emit pass's outbox through [`route_one`](Self::route_one)
+    /// in canonical outbox order; wire-bound documents encode inline.
+    /// Coalesced frames accumulated during the pass are flushed at its end.
     fn emit_outputs(
         &mut self,
         net: &mut SimNetwork,
         outputs: Vec<(InstanceId, ChannelId, Arc<Document>)>,
     ) -> Result<()> {
-        let mut pre: BTreeMap<
-            usize,
-            std::result::Result<b2b_network::Bytes, b2b_document::DocumentError>,
-        > = BTreeMap::new();
-        if self.emit_batch && outputs.len() > 1 {
-            // Pre-encode every wire-bound document with a known session.
-            // A document that the replay then sheds (breaker open, queue
-            // full) wastes its encode but books nothing — the replay only
-            // notes pre-computed encodes where the sequential path would
-            // have encoded.
-            let jobs: Vec<usize> = outputs
-                .iter()
-                .enumerate()
-                .filter(|(_, (from, channel, _))| {
-                    channel.as_str() == "wire:out" && self.table.index_of_instance(*from).is_some()
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if jobs.len() > 1 {
-                let docs: Vec<&Document> = jobs.iter().map(|&i| outputs[i].2.as_ref()).collect();
-                let chunk = self.wf.steal_chunk_or(8);
-                let (results, warm) = self.edge.encode_batch(&docs, self.wf.pool(), chunk);
-                self.profile.counters.encode_batches += 1;
-                self.profile.counters.emit_buffer_reuses += warm;
-                pre = jobs.into_iter().zip(results).collect();
-            }
-        }
-        for (i, (from, channel, doc)) in outputs.into_iter().enumerate() {
-            let pre_bytes = pre.remove(&i);
-            self.route_one_pre(net, from, &channel, doc, pre_bytes)?;
+        for (from, channel, doc) in outputs {
+            self.route_one(net, from, &channel, doc)?;
         }
         self.flush_emit_frames(net)
     }

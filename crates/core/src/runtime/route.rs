@@ -364,21 +364,12 @@ impl IntegrationEngine {
     /// Takes the outbox's `Arc<Document>` as-is: queueing into the next
     /// instance moves the pointer, so a document crossing all three
     /// process layers is never deep-copied in transit.
-    ///
-    /// `pre` carries the wire encode when the emit stage's batch encoder
-    /// already produced the bytes on the worker pool; the replay here, in
-    /// canonical outbox order, is the source of truth. A pre-computed
-    /// encode stands in exactly where the sequential path would have
-    /// called [`Edge::encode`]; everywhere else (shed sends, non-wire
-    /// channels) it is simply dropped, so counters and outcomes are
-    /// independent of which path ran.
-    pub(crate) fn route_one_pre(
+    pub(crate) fn route_one(
         &mut self,
         net: &mut SimNetwork,
         from: InstanceId,
         channel: &ChannelId,
         doc: Arc<Document>,
-        pre: Option<std::result::Result<b2b_network::Bytes, b2b_document::DocumentError>>,
     ) -> Result<()> {
         let index =
             self.table.index_of_instance(from).ok_or(RouteError::NoSession { instance: from })?;
@@ -416,8 +407,8 @@ impl IntegrationEngine {
                 {
                     // Unbounded budget: send directly, exactly as before
                     // the health subsystem existed.
-                    let bytes = self.wire_bytes(&doc, pre)?;
-                    if self.emit_batch && self.emit_coalesce > 1 {
+                    let bytes = self.edge.encode(&doc)?;
+                    if self.emit_coalesce > 1 {
                         // Coalescing on: the document joins its partner's
                         // frame instead of going out alone. Only this
                         // fast path coalesces — bounded-budget sends keep
@@ -453,7 +444,7 @@ impl IntegrationEngine {
                     );
                     return Ok(());
                 }
-                let bytes = self.wire_bytes(&doc, pre)?;
+                let bytes = self.edge.encode(&doc)?;
                 self.pending_sends.push_back(PendingSend {
                     session: index,
                     partner: partner_name,
@@ -549,28 +540,6 @@ impl IntegrationEngine {
             }
         }
         Ok(())
-    }
-
-    /// The wire bytes for one outbound document: the pre-computed batch
-    /// encode when one exists, otherwise the inline per-document encode.
-    /// A pre-computed result books the same per-(format, kind) buffer
-    /// accounting the inline encode would have, so [`CodecCacheStats`]
-    /// cannot tell the paths apart.
-    ///
-    /// [`CodecCacheStats`]: crate::metrics::CodecCacheStats
-    fn wire_bytes(
-        &mut self,
-        doc: &Document,
-        pre: Option<std::result::Result<b2b_network::Bytes, b2b_document::DocumentError>>,
-    ) -> std::result::Result<b2b_network::Bytes, b2b_document::DocumentError> {
-        match pre {
-            Some(Ok(bytes)) => {
-                self.edge.note_precomputed_encode(doc);
-                Ok(bytes)
-            }
-            Some(Err(e)) => Err(e),
-            None => self.edge.encode(doc),
-        }
     }
 
     /// Adds one encoded outbound document to its partner's pending

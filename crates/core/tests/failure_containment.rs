@@ -396,9 +396,6 @@ fn failed_batch_frame_splits_into_per_document_dead_letters() {
         .add_backend(ApplicationProcess::new(Box::new(SapSystem::new(AckPolicy::AcceptAll))))
         .unwrap();
     seller_rules(&mut seller).unwrap();
-    // Pin the emit mode explicitly: coalescing requires the batched
-    // path, and the suite also runs under B2B_EMIT_BATCH=0.
-    seller.set_batched_emit(true);
     seller.set_emit_coalesce(8);
     // Mirror of the receipt-timeout setup: only the *seller* models
     // WaitReceipt, so only its reply frame carries the deadline.

@@ -324,6 +324,7 @@ impl Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ack_references_the_original() {
@@ -420,6 +421,39 @@ mod tests {
         lying[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_batch_frame(&Bytes::from(lying)).is_none());
         assert!(decode_batch_frame(&Bytes::from(frame)).is_some());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn mutated_batch_frames_never_panic_and_accepted_frames_are_canonical(
+            parts in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 1..17),
+            flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..8),
+            cut in 0usize..=100,
+            appended in prop::collection::vec(any::<u8>(), 0..8),
+        ) {
+            // Frame hardening: byte flips (counts, length prefixes, part
+            // bodies), truncations and appended bytes must never panic the
+            // splitter, and any frame it accepts must be the canonical
+            // encoding of the parts it returns — no two byte strings split
+            // to the same parts.
+            let parts: Vec<Bytes> = parts.into_iter().map(Bytes::from).collect();
+            let mut frame = Vec::new();
+            encode_batch_frame(&parts, &mut frame);
+            for (at, byte) in &flips {
+                let len = frame.len();
+                frame[at % len] = *byte;
+            }
+            frame.truncate(frame.len() * cut / 100);
+            frame.extend_from_slice(&appended);
+            let mutated = Bytes::from(frame);
+            if let Some(split) = decode_batch_frame(&mutated) {
+                let mut reencoded = Vec::new();
+                encode_batch_frame(&split, &mut reencoded);
+                prop_assert_eq!(&reencoded[..], &mutated[..]);
+            }
+        }
     }
 
     #[test]

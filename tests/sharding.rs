@@ -78,7 +78,7 @@ fn run_with_policy(
     let mut s = TwoEnterpriseScenario::new(faults, seed).unwrap();
     s.buyer.set_shards(shards);
     s.seller.set_shards(shards);
-    // Under `B2B_POOL_STRESS=1` (CI's second pass) every pool round runs
+    // Under `B2B_POOL_STRESS=1` (CI's pool-stress pass) every pool round runs
     // at steal-chunk 1 — maximum inter-thread interleaving, the hardest
     // schedule for the determinism bar.
     if std::env::var("B2B_POOL_STRESS").as_deref() == Ok("1") {
@@ -457,10 +457,8 @@ proptest! {
     }
 }
 
-/// [`run_settle`], with the emit path selectable: `batched` toggles the
-/// pool-batched outbound encode, `coalesce` the per-partner frame
-/// coalescing cap (1 = one document per envelope).
-#[allow(clippy::too_many_arguments)]
+/// [`run_settle`], with `coalesce` as the per-partner frame coalescing
+/// cap (1 = one document per envelope).
 fn run_emit(
     protocol: semantic_b2b::integration::scenario::ScenarioProtocol,
     faults: FaultConfig,
@@ -468,7 +466,6 @@ fn run_emit(
     pos: usize,
     shards: usize,
     interpreted: bool,
-    batched: bool,
     coalesce: usize,
 ) -> (u64, Fingerprint, Fingerprint) {
     let mut s = TwoEnterpriseScenario::with_protocol(protocol, faults, seed).unwrap();
@@ -478,8 +475,6 @@ fn run_emit(
     s.seller.set_interpreted_transforms(interpreted);
     s.buyer.set_interpreted_rules(interpreted);
     s.seller.set_interpreted_rules(interpreted);
-    s.buyer.set_batched_emit(batched);
-    s.seller.set_batched_emit(batched);
     s.buyer.set_emit_coalesce(coalesce);
     s.seller.set_emit_coalesce(coalesce);
     s.buyer.set_partner_policy(PartnerPolicy::permissive());
@@ -492,33 +487,20 @@ fn run_emit(
     (elapsed, fingerprint(&s.buyer), fingerprint(&s.seller))
 }
 
-/// Zeroes the counters that deliberately distinguish the batched emit
-/// path from the sequential one (`encode_batches`, `coalesced_frames`,
-/// `emit_buffer_reuses`). Everything else in the fingerprint — wire
-/// bytes are covered transitively by the stats, states, dead letters,
-/// and audit history they produce — must be byte-identical.
-fn mask_emit_counters(fp: &mut Fingerprint) {
-    fp.stages.encode_batches = 0;
-    fp.stages.coalesced_frames = 0;
-    fp.stages.emit_buffer_reuses = 0;
-}
-
 proptest! {
-    // Each case is ten full scenario runs (2 protocols x 5 emit
-    // configurations); fewer cases keep the matrix affordable.
+    // Each case is four full scenario runs (2 protocols x 2 shard
+    // counts); fewer cases keep the matrix affordable.
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// The pool-batched emit path is an optimization, not a semantics:
-    /// at coalesce = 1 it must be byte-identical to the sequential
-    /// per-document path (the only permitted difference is the three
-    /// counters that *count* the batching itself), across shard counts
-    /// {1, 4}, both dispatch modes, and both a text (EDI) and the binary
-    /// wire protocol. At coalesce = 8 the wire framing genuinely changes
-    /// (fewer envelopes, different message ids), so the bar there is
-    /// shard-invariance: a coalesced run must be byte-identical to
-    /// itself across shard counts.
+    /// At coalesce = 8 the wire framing genuinely changes (fewer
+    /// envelopes, different message ids), so the bar is shard-invariance:
+    /// a coalesced run must be byte-identical to itself across shard
+    /// counts {1, 4}, under arbitrary fault mixes, both dispatch modes,
+    /// and both a text (EDI) and the binary wire protocol. Coalesce = 1
+    /// is covered by `sharded_runs_are_byte_identical_to_sequential` and
+    /// `binary_protocol_fingerprints_are_identical_across_shards`.
     #[test]
-    fn batched_emit_matches_sequential_reference(
+    fn coalesced_emit_is_identical_across_shards(
         loss in 0.0f64..0.35,
         duplicate in 0.0f64..0.25,
         seed in any::<u64>(),
@@ -530,40 +512,8 @@ proptest! {
             loss, duplicate, corrupt: 0.0, min_delay_ms: 1, max_delay_ms: 40,
         };
         for protocol in [ScenarioProtocol::Edi, ScenarioProtocol::Binary] {
-            let (seq_elapsed, mut seq_buyer, mut seq_seller) =
-                run_emit(protocol, faults.clone(), seed, pos, 1, interpreted, false, 1);
-            // The reference must not itself have batched: sequential
-            // mode books no batch counters.
-            prop_assert_eq!(seq_buyer.stages.encode_batches, 0);
-            prop_assert_eq!(seq_buyer.stages.coalesced_frames, 0);
-            mask_emit_counters(&mut seq_buyer);
-            mask_emit_counters(&mut seq_seller);
-
-            for shards in [1usize, 4] {
-                let (elapsed, mut buyer, mut seller) =
-                    run_emit(protocol, faults.clone(), seed, pos, shards, interpreted, true, 1);
-                prop_assert_eq!(buyer.stages.coalesced_frames, 0,
-                    "{:?}: coalesce=1 must never build a batch frame", protocol);
-                mask_emit_counters(&mut buyer);
-                mask_emit_counters(&mut seller);
-                prop_assert_eq!(
-                    &seq_elapsed, &elapsed,
-                    "{:?}: elapsed diverged under batched emit at {} shards", protocol, shards
-                );
-                prop_assert_eq!(
-                    &seq_buyer, &buyer,
-                    "{:?}: buyer diverged under batched emit at {} shards", protocol, shards
-                );
-                prop_assert_eq!(
-                    &seq_seller, &seller,
-                    "{:?}: seller diverged under batched emit at {} shards", protocol, shards
-                );
-            }
-
-            let coalesced =
-                run_emit(protocol, faults.clone(), seed, pos, 1, interpreted, true, 8);
-            let coalesced_4 =
-                run_emit(protocol, faults.clone(), seed, pos, 4, interpreted, true, 8);
+            let coalesced = run_emit(protocol, faults.clone(), seed, pos, 1, interpreted, 8);
+            let coalesced_4 = run_emit(protocol, faults.clone(), seed, pos, 4, interpreted, 8);
             prop_assert_eq!(
                 &coalesced.0, &coalesced_4.0,
                 "{:?}: elapsed diverged across shards at coalesce 8", protocol
@@ -586,13 +536,12 @@ fn coalesced_emit_preserves_business_outcomes() {
     // network (no loss, so the per-message fault draws cannot diverge
     // into different retransmit histories) a coalesce = 8 run must reach
     // the same session states, completions, and document-level
-    // integration stats as the sequential per-document path.
+    // integration stats as the per-document (coalesce = 1) path.
     use semantic_b2b::integration::scenario::ScenarioProtocol;
     for protocol in [ScenarioProtocol::Edi, ScenarioProtocol::Binary] {
         let (_, seq_buyer, seq_seller) =
-            run_emit(protocol, FaultConfig::reliable(), 19, 6, 1, false, false, 1);
-        let (_, buyer, seller) =
-            run_emit(protocol, FaultConfig::reliable(), 19, 6, 4, false, true, 8);
+            run_emit(protocol, FaultConfig::reliable(), 19, 6, 1, false, 1);
+        let (_, buyer, seller) = run_emit(protocol, FaultConfig::reliable(), 19, 6, 4, false, 8);
         // Each `submit` routes its PO in its own settle pass, so the
         // buyer's requests go out one at a time; it is the responder —
         // whose replies to same-window arrivals share an emit pass —
