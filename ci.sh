@@ -64,12 +64,6 @@ B2B_WIRE_FORMAT=binary cargo test --offline -q --workspace
 echo "== cargo test (B2B_EMIT_COALESCE=8) =="
 B2B_EMIT_COALESCE=8 cargo test --offline -q --workspace
 
-# Pool stress: the sharding determinism properties with every settle
-# and decode round forced to steal-chunk 1 — maximum inter-thread
-# interleaving, the hardest schedule for the fingerprint contract.
-echo "== sharding determinism (B2B_POOL_STRESS=1, steal-chunk 1) =="
-B2B_POOL_STRESS=1 B2B_SHARDS=4 cargo test --offline -q --test sharding
-
 # The big population fixtures (Large and Huge tiers, up to a million
 # sessions) are generated to disk once; later E21 runs load them
 # instead of regenerating. Idempotent: existing fixtures are reused.

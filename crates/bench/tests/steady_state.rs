@@ -84,8 +84,8 @@ fn pool_rounds_allocate_nothing_after_warm_up() {
     // The persistent worker pool's dispatch path is allocation-free: a
     // round publishes a borrowed job pointer through pre-existing shared
     // state, workers self-schedule with atomic fetch-adds, and the
-    // barrier is a condvar wait. After the workers are spawned, settle
-    // rounds ask the allocator for nothing — at any steal-chunk size.
+    // barrier is a condvar wait. After the workers are spawned, a settle
+    // round asks the allocator for nothing.
     use std::sync::atomic::{AtomicU64, Ordering};
 
     let mut pool = b2b_wfms::WorkerPool::default();
@@ -96,23 +96,18 @@ fn pool_rounds_allocate_nothing_after_warm_up() {
     };
 
     // Warm round: first dispatch wakes every parked worker once.
-    pool.run(slots.len(), 8, &job);
+    pool.run(slots.len(), &job);
     let spawned = pool.stats().threads_spawned;
     assert_eq!(spawned, 3, "pool spawned exactly the requested workers");
 
-    for chunk in [1usize, 8] {
-        let (_, delta) = alloc_count::measure(|| pool.run(slots.len(), chunk, &job));
-        assert_eq!(
-            delta.allocations, 0,
-            "steady-state pool round (chunk {chunk}) allocated: {delta:?}"
-        );
-    }
+    let (_, delta) = alloc_count::measure(|| pool.run(slots.len(), &job));
+    assert_eq!(delta.allocations, 0, "steady-state pool round allocated: {delta:?}");
 
     let stats = pool.stats();
-    assert_eq!(stats.threads_spawned, spawned, "steady rounds spawned threads");
-    assert_eq!(stats.rounds, 3, "all three rounds dispatched to the pool");
+    assert_eq!(stats.threads_spawned, spawned, "steady round spawned threads");
+    assert_eq!(stats.rounds, 2, "both rounds dispatched to the pool");
     let total: u64 = slots.iter().map(|s| s.load(Ordering::Relaxed)).sum();
-    assert_eq!(total, 3 * 64, "every index ran exactly once per round");
+    assert_eq!(total, 2 * 64, "every index ran exactly once per round");
 }
 
 #[test]

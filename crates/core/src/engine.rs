@@ -46,16 +46,10 @@ pub use crate::session::SessionState;
 pub const SELECT_BACKEND_RULE: &str = "select-backend";
 
 /// Automatic execute-stage worker count: the machine's available
-/// parallelism. `B2B_SHARDS_CAP=<n>` caps it (for shared hosts or
-/// experiments pinning a fan-out); uncapped, `B2B_SHARDS=0` respects the
-/// real core count. Results are identical at any count — the cap only
-/// changes wall-clock.
+/// parallelism. Results are identical at any count; callers that need a
+/// fixed fan-out pin it with [`IntegrationEngine::set_shards`].
 fn auto_shards() -> usize {
-    let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-    match std::env::var("B2B_SHARDS_CAP").ok().and_then(|v| v.parse::<usize>().ok()) {
-        Some(cap) if cap > 0 => cores.min(cap),
-        _ => cores,
-    }
+    std::thread::available_parallelism().map(usize::from).unwrap_or(1)
 }
 
 /// Counters for one integration engine.
@@ -205,7 +199,7 @@ impl IntegrationEngine {
         wf.register_activity(MAKE_QUOTE_ACTIVITY, make_quote_activity(name));
         wf.register_activity(RECORD_QUOTE_ACTIVITY, record_quote_activity());
         // `B2B_SHARDS=0` means "auto": size to the machine's real core
-        // count (cap it explicitly with `B2B_SHARDS_CAP` when needed).
+        // count.
         let shards = match std::env::var("B2B_SHARDS").ok().and_then(|v| v.parse::<usize>().ok()) {
             Some(0) => auto_shards(),
             Some(n) => n,
@@ -214,14 +208,6 @@ impl IntegrationEngine {
         // Warm the persistent worker pool now: all thread spawns happen
         // at construction, none per pump.
         wf.configure_pool(shards.saturating_sub(1));
-        // `B2B_STEAL_CHUNK=<n>` pins the pool's claim granularity for
-        // every stage (0/unset = per-stage defaults). Fingerprints are
-        // identical for any chunk; `ci.sh` runs chunk 1 as a stress mode.
-        if let Some(chunk) =
-            std::env::var("B2B_STEAL_CHUNK").ok().and_then(|v| v.parse::<usize>().ok())
-        {
-            wf.set_steal_chunk(chunk);
-        }
         // `B2B_RULES=interpreted` runs the whole suite on the rule-tree
         // interpreter instead of compiled programs (results identical; CI
         // exercises both).
@@ -287,20 +273,12 @@ impl IntegrationEngine {
 
     /// Overrides the execute-stage worker count. Results are identical
     /// for every count ≥ 1 — only wall-clock changes. Passing `0` picks
-    /// an automatic count from the machine's available parallelism
-    /// (cappable via `B2B_SHARDS_CAP`; on a 1-core host this is a wash
-    /// with `1`). The persistent pool grows to match immediately, so no
-    /// later pump pays a thread spawn.
+    /// an automatic count from the machine's available parallelism (on a
+    /// 1-core host this is a wash with `1`). The persistent pool grows to
+    /// match immediately, so no later pump pays a thread spawn.
     pub fn set_shards(&mut self, shards: usize) {
         self.shards = if shards == 0 { auto_shards() } else { shards };
         self.wf.configure_pool(self.shards.saturating_sub(1));
-    }
-
-    /// Overrides the worker pool's steal-chunk size (`0` = per-stage
-    /// defaults). Purely a scheduling knob: fingerprints are identical
-    /// for any value.
-    pub fn set_steal_chunk(&mut self, chunk: usize) {
-        self.wf.set_steal_chunk(chunk);
     }
 
     /// Worker-pool utilization counters (also embedded in
@@ -350,7 +328,7 @@ impl IntegrationEngine {
         self.wf.rules_mut()
     }
 
-    /// Counters for the edge's decode memo and encode buffers.
+    /// Counters for the edge's decodes and encode buffers.
     pub fn codec_cache_stats(&self) -> &crate::metrics::CodecCacheStats {
         self.edge.cache_stats()
     }

@@ -87,18 +87,19 @@ impl fmt::Display for ModelSize {
     }
 }
 
-/// Counters for the edge's codec caches (experiment E15).
+/// Counters for the edge's codecs (experiment E15).
 ///
-/// The decode memo keys on `(format, payload checksum)`: a hit means the
-/// edge skipped re-parsing bytes it had already decoded (retransmitted
-/// duplicates, dead-letter replays). The encode buffers are reused per
+/// The edge parses every routed payload exactly once, so
+/// `decode_misses` counts successful parses and `decode_hits` is always
+/// 0 (the field is kept because benchmark reports read it). Suppressed
+/// duplicates never reach the decoder. The encode buffers are reused per
 /// `(format, kind)`, so after warm-up every outbound encode appends into
 /// an existing allocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CodecCacheStats {
-    /// Decodes answered from the memo without re-parsing.
+    /// Decodes answered without parsing; always 0 (every payload parses).
     pub decode_hits: u64,
-    /// Decodes that had to parse the payload bytes.
+    /// Payloads parsed successfully at the edge.
     pub decode_misses: u64,
     /// Outbound encodes that reused an existing per-(format, kind) buffer.
     pub encode_buffer_reuses: u64,
@@ -111,11 +112,8 @@ impl fmt::Display for CodecCacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "decode {} hit / {} miss, encode buffers {} reused / {} allocated",
-            self.decode_hits,
-            self.decode_misses,
-            self.encode_buffer_reuses,
-            self.encode_buffer_allocs
+            "{} decodes, encode buffers {} reused / {} allocated",
+            self.decode_misses, self.encode_buffer_reuses, self.encode_buffer_allocs
         )
     }
 }

@@ -70,20 +70,9 @@ impl IntegrationEngine {
         for envelope in batch.notices {
             self.handle_notify(net, envelope)?;
         }
-        let payloads = self.cap_inbound(net, batch.payloads)?;
-        // Decode the whole batch up front — predicted memo misses parse
-        // on the worker pool — then route sequentially in arrival order.
-        // The replay inside `decode_batch` keeps results, counters, and
-        // memo state byte-identical to envelope-at-a-time decoding.
-        let chunk = self.wf.steal_chunk_or(8);
-        let decoded = self.edge.decode_batch(&payloads, self.wf.pool(), chunk);
-        for (envelope, result) in payloads.into_iter().zip(decoded) {
-            self.route_inbound_decoded(net, envelope, result)?;
-        }
-        // Suppressed duplicates are never routed; they only tell the
-        // decode memo how many re-parses it saved.
-        for envelope in &batch.duplicates {
-            self.edge.note_duplicate(envelope);
+        // Each payload decodes inline as it is routed, in arrival order.
+        for envelope in self.cap_inbound(net, batch.payloads)? {
+            self.route_inbound(net, envelope)?;
         }
         self.poll_backends()?;
         self.profile.timers.route_ns += route_started.elapsed().as_nanos() as u64;

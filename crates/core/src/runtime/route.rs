@@ -204,21 +204,7 @@ impl IntegrationEngine {
     /// when the document starts a new interaction). Only queues and
     /// schedules — the execute stage does the stepping.
     pub(crate) fn route_inbound(&mut self, net: &mut SimNetwork, envelope: Envelope) -> Result<()> {
-        let decoded = self.edge.decode(&envelope);
-        self.route_inbound_decoded(net, envelope, decoded)
-    }
-
-    /// [`route_inbound`](Self::route_inbound) with the decode already
-    /// done — the pump's batch decoder produces the results up front so
-    /// parsing can run on the worker pool, then replays them here in
-    /// arrival order.
-    pub(crate) fn route_inbound_decoded(
-        &mut self,
-        net: &mut SimNetwork,
-        envelope: Envelope,
-        decoded: std::result::Result<Document, crate::runtime::edge::EdgeError>,
-    ) -> Result<()> {
-        let doc = match decoded {
+        let doc = match self.edge.decode(&envelope) {
             Ok(doc) => doc,
             Err(e) => {
                 // Malformed content is rejected at the edge — but kept:

@@ -61,15 +61,18 @@ impl FormatRegistry {
         self.codec(doc.format())?.encode_into(doc, out)
     }
 
-    /// Decodes wire bytes claimed to be in `format`.
+    /// Decodes wire bytes claimed to be in `format`. Bytes a registered
+    /// codec rejects fail as [`DocumentError::Parse`], whatever the codec
+    /// tripped over (see [`as_parse_error`]).
     pub fn decode(&self, format: &FormatId, bytes: &[u8]) -> Result<Document> {
-        self.codec(format)?.decode(bytes)
+        self.codec(format)?.decode(bytes).map_err(|e| as_parse_error(format, e))
     }
 
     /// Decodes a shared payload buffer claimed to be in `format`,
     /// borrowing text out of the buffer where the codec supports it.
+    /// Failures are [`DocumentError::Parse`], as for [`decode`](Self::decode).
     pub fn decode_bytes(&self, format: &FormatId, bytes: &Bytes) -> Result<Document> {
-        self.codec(format)?.decode_bytes(bytes)
+        self.codec(format)?.decode_bytes(bytes).map_err(|e| as_parse_error(format, e))
     }
 
     /// All registered formats, sorted for deterministic iteration.
@@ -82,6 +85,22 @@ impl FormatRegistry {
     /// Whether a format can carry a document kind.
     pub fn supports(&self, format: &FormatId, kind: DocKind) -> bool {
         self.codecs.get(format).map(|c| c.supported_kinds().contains(&kind)).unwrap_or(false)
+    }
+}
+
+/// Folds a codec's decode error into [`DocumentError::Parse`]. Malformed
+/// wire bytes surface from deep inside a codec as whatever the failing
+/// step reports (a bad date, an unknown transaction set, a missing
+/// field); to the caller they are all the same fault: these bytes are not
+/// a document in this format.
+fn as_parse_error(format: &FormatId, e: DocumentError) -> DocumentError {
+    match e {
+        DocumentError::Parse { .. } => e,
+        other => DocumentError::Parse {
+            format: format.to_string(),
+            offset: 0,
+            reason: other.to_string(),
+        },
     }
 }
 

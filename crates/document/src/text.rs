@@ -10,10 +10,11 @@
 //! never depend on where a string's bytes happen to live.
 //!
 //! Ownership rule: a shared `Str` keeps the *entire* payload allocation
-//! alive (it holds the payload's `Arc`). That is free at the edge — the
-//! decode memo retains the payload anyway — but long-lived stores that
-//! outlive the payload should call [`Str::promote`] / [`Str::into_owned`]
-//! to detach.
+//! alive (it holds the payload's `Arc`), so a document with shared text
+//! keeps its payload alive for the document's own lifetime. That is the
+//! intended cost of zero-copy decode for documents in flight; long-lived
+//! stores that outlive the document should call [`Str::promote`] /
+//! [`Str::into_owned`] to detach.
 
 use bytes::Bytes;
 use serde::{Content, Deserialize, Error, Serialize};

@@ -205,9 +205,9 @@ pub struct InboundBatch {
     /// Fresh failure notifications, exactly once, arrival order.
     pub notices: Vec<Envelope>,
     /// Suppressed duplicate payload deliveries (already-seen message ids,
-    /// payload class only). Never routed — the exactly-once contract on
-    /// `payloads` is unchanged — but surfaced so the edge can count how
-    /// often its decode memo would have re-parsed the same bytes.
+    /// payload class only). Never routed or decoded — the exactly-once
+    /// contract on `payloads` is unchanged — but surfaced so hosts can
+    /// count them per pump.
     pub duplicates: Vec<Envelope>,
 }
 

@@ -34,16 +34,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "buyer filed acknowledgments: {}",
         scenario.buyer.backend("SAP")?.backend().poa_count()
     );
-    // The wire edge caches codec work: decodes are memoized by payload
-    // checksum (hits = re-parses saved) and encode buffers are reused
-    // per (format, kind) after the first allocation.
+    // The wire edge parses each routed payload once and reuses encode
+    // buffers per (format, kind) after the first allocation.
     let cache = scenario.buyer.codec_cache_stats();
     println!(
-        "buyer edge codec caches: {} decode hits / {} misses, {} encode buffer reuses / {} allocs",
-        cache.decode_hits,
-        cache.decode_misses,
-        cache.encode_buffer_reuses,
-        cache.encode_buffer_allocs
+        "buyer edge codecs: {} payloads decoded, {} encode buffer reuses / {} allocs",
+        cache.decode_misses, cache.encode_buffer_reuses, cache.encode_buffer_allocs
     );
     // Partner health on a clean run: no breaker trips, nothing shed,
     // nothing dead-lettered (see examples/failure_recovery.rs for the
