@@ -15,14 +15,17 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --offline --release --workspace
 
-# The experiments binary's identity assertions (E15-E22) without the
+# Rustdoc warnings are errors, so a deleted or private item cannot
+# leave a dangling intra-doc link behind.
+echo "== cargo doc (warnings are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
+# The experiments binary's identity assertions (E15-E21) without the
 # timing loops: compiled-vs-interpreted dispatch agreement, wire byte
 # stability, broadcast observables across dispatch mode x shard count,
 # the chaos coverage invariant with breaker states in the determinism
-# fingerprint, the Small-tier population identity + flat-cost pass
-# (touched-only vs full-partition settle, 10x idle growth), and the
-# frame-coalescing identity (coalesce 8 shard-invariant and
-# business-identical to per-document emit).
+# fingerprint, and the Small-tier population identity + flat-cost pass
+# (touched-only vs full-partition settle, 10x idle growth).
 echo "== experiments --quick (identity assertions) =="
 cargo run --offline --release -q -p b2b-bench --bin experiments -- --quick
 
@@ -57,12 +60,6 @@ B2B_SHARDS=0 cargo test --offline -q --workspace
 # partners on the binary codec's zero-copy decode path instead of EDI.
 echo "== cargo test (B2B_WIRE_FORMAT=binary) =="
 B2B_WIRE_FORMAT=binary cargo test --offline -q --workspace
-
-# Sixth pass with aggressive frame coalescing: same-endpoint emit
-# batches ride the wire as multi-document checksummed frames, split and
-# acked as a unit. Business outcomes must be unchanged.
-echo "== cargo test (B2B_EMIT_COALESCE=8) =="
-B2B_EMIT_COALESCE=8 cargo test --offline -q --workspace
 
 # The big population fixtures (Large and Huge tiers, up to a million
 # sessions) are generated to disk once; later E21 runs load them

@@ -28,7 +28,7 @@ fn main() {
         // experiments (E15-E18) without the timing loops — seconds, not
         // minutes.
         println!(
-            "==== QUICK — identity assertions for E15/E16/E17/E18/E19/E20/E21/E22, no timing ===="
+            "==== QUICK — identity assertions for E15/E16/E17/E18/E19/E20/E21, no timing ===="
         );
         quick_identity();
         println!("quick identity pass: all assertions held");
@@ -74,7 +74,6 @@ fn main() {
         ("e19", "Persistent-worker runtime: pool utilization, per-session memory", e19),
         ("e20", "Compact binary wire format: zero-copy decode, per-format codec cost", e20),
         ("e21", "Population-scale settle: touched-only rounds, million-session harness", e21),
-        ("e22", "Emit path: per-partner frame coalescing", e22),
     ];
     for (id, title, run) in experiments {
         if want(id) {
@@ -2019,217 +2018,7 @@ fn e21() {
     }
 }
 
-fn e22() {
-    use b2b_bench::alloc_count;
-    use b2b_bench::population::{
-        run_population, PopulationConfig, PopulationPlan, DEFAULT_POPULATION_SEED,
-    };
-    use b2b_document::formats::sample_edi_po;
-    use b2b_document::{FormatId, FormatRegistry};
-    use b2b_network::encode_batch_frame;
-    use b2b_transform::{TransformContext, TransformRegistry};
-
-    // Part 1: the emit wire path in isolation — per-codec encode cost
-    // (byte-identical in both modes by construction, so measured once)
-    // and the per-document *wire* overhead of classic per-document
-    // payloads versus coalesced 8-document frames over a clean reliable
-    // pair. The wire leg is what the coalescer shortens: one envelope,
-    // one ledger entry, one delivery, and one ack per frame instead of
-    // per document. (The whole-population numbers in part 2 dilute this
-    // with decode/transform/settle cost — the ≥1.2x emit win is
-    // asserted *here*, where the emit path is what's being measured.)
-    const DOCS: usize = 4_096;
-    const COALESCE: usize = 8;
-    const WINDOW: usize = 64;
-    let wire_cost = |payload: &Bytes, fmt: &FormatId, coalesce: usize| -> f64 {
-        let mut net = SimNetwork::new(FaultConfig::reliable(), 2_022);
-        let to = EndpointId::new("ep:e22-receiver");
-        let mut sender = ReliableEndpoint::new(
-            EndpointId::new("ep:e22-sender"),
-            ReliableConfig::default(),
-            &mut net,
-        )
-        .expect("sender");
-        let mut receiver = ReliableEndpoint::new(to.clone(), ReliableConfig::default(), &mut net)
-            .expect("receiver");
-        let ((), alloc) = alloc_count::measure(|| {
-            let mut parts: Vec<Bytes> = Vec::with_capacity(coalesce);
-            let mut scratch = Vec::new();
-            let mut sent = 0;
-            while sent < DOCS {
-                // One bounded in-flight window per round, like one
-                // pump's emit pass.
-                let burst = WINDOW.min(DOCS - sent);
-                let mut k = 0;
-                while k < burst {
-                    if coalesce <= 1 {
-                        sender.send(&mut net, &to, fmt.clone(), payload.clone()).expect("send");
-                        k += 1;
-                    } else {
-                        parts.clear();
-                        for _ in 0..coalesce.min(burst - k) {
-                            parts.push(payload.clone());
-                            k += 1;
-                        }
-                        scratch.clear();
-                        encode_batch_frame(&parts, &mut scratch);
-                        sender
-                            .send_batch(
-                                &mut net,
-                                &to,
-                                fmt.clone(),
-                                Bytes::copy_from_slice(&scratch),
-                                None,
-                            )
-                            .expect("send batch");
-                    }
-                }
-                sent += burst;
-                for _ in 0..1_000 {
-                    if sender.outstanding_count() == 0 {
-                        break;
-                    }
-                    net.advance(10);
-                    let _ = receiver.receive(&mut net).expect("receive");
-                    let _ = sender.receive(&mut net).expect("acks");
-                    let _ = sender.tick(&mut net).expect("tick");
-                }
-            }
-        });
-        assert_eq!(sender.outstanding_count(), 0, "E22: emit probe failed to drain");
-        alloc.allocations as f64 / DOCS as f64
-    };
-
-    let reg = TransformRegistry::with_builtins();
-    let ctx = TransformContext::new("ACME", "GADGET", "000000042", "i-e22");
-    let formats = FormatRegistry::with_builtins();
-    let norm =
-        reg.transform(&sample_edi_po("E22", 7), &FormatId::NORMALIZED, &ctx).expect("normalize");
-    println!("emit wire path, {DOCS} docs to one endpoint (coalesce {COALESCE}):");
-    println!("  codec        | encode us/doc | seq wire allocs | coal wire allocs | ratio");
-    let mut codec_rows: Vec<String> = Vec::new();
-    for fmt in [FormatId::EDI_X12, FormatId::ROSETTANET, FormatId::BINARY] {
-        let wire_doc = reg.transform(&norm, &fmt, &ctx).expect("render");
-        let encode_us = {
-            let mut buf = Vec::new();
-            let started = std::time::Instant::now();
-            for _ in 0..DOCS {
-                formats.encode_into(&wire_doc, &mut buf).expect("encode");
-            }
-            started.elapsed().as_secs_f64() * 1e6 / DOCS as f64
-        };
-        let payload = {
-            let mut buf = Vec::new();
-            formats.encode_into(&wire_doc, &mut buf).expect("encode");
-            Bytes::copy_from_slice(&buf)
-        };
-        let seq_allocs = wire_cost(&payload, &fmt, 1);
-        let co_allocs = wire_cost(&payload, &fmt, COALESCE);
-        let ratio = seq_allocs / co_allocs.max(f64::EPSILON);
-        println!(
-            "  {:<12} | {encode_us:>13.2} | {seq_allocs:>15.1} | {co_allocs:>16.1} | {ratio:>4.2}x",
-            fmt.to_string(),
-        );
-        assert!(
-            ratio >= 1.2,
-            "E22: coalesced emit must cut wire-path allocs >= 1.2x for {fmt}: \
-             {seq_allocs:.1} -> {co_allocs:.1} ({ratio:.2}x)"
-        );
-        codec_rows.push(format!(
-            "    {{\"codec\": \"{fmt}\", \"encode_us_per_doc\": {encode_us:.3}, \
-             \"seq_wire_allocs_per_doc\": {seq_allocs:.1}, \
-             \"coalesced_wire_allocs_per_doc\": {co_allocs:.1}, \"alloc_ratio\": {ratio:.2}}}"
-        ));
-    }
-
-    // Part 2: the population harness in bulk-traffic shape — whole
-    // waves initiated with deferred settles, so every wave's RFQs drain
-    // through one emit pass and Zipf-heavy partners get real frame
-    // coalescing. Coalesce 8 must be shard-invariant and
-    // business-identical to coalesce 1.
-    let e21_baseline = {
-        let read = |path: &str, key: &str| -> Option<f64> {
-            let text = std::fs::read_to_string(path).ok()?;
-            let tail = text.split(&format!("\"{key}\":")).nth(1)?;
-            tail.split([',', '}']).next()?.trim().parse::<f64>().ok()
-        };
-        // E21's recorded Medium/Large-tier cost; the checked-in figure
-        // the acceptance bar names is 865 allocs per routed document.
-        read("BENCH_population.json", "allocs_per_routed_doc").unwrap_or(865.0)
-    };
-    println!();
-    let mut tier_rows: Vec<String> = Vec::new();
-    for tier in [SizeTier::Small, SizeTier::Medium] {
-        let plan = PopulationPlan::generate(tier, DEFAULT_POPULATION_SEED);
-        let bulk = PopulationConfig { bulk_initiate: true, ..Default::default() };
-        let seq = run_population(&plan, &bulk).expect("coalesce-1 emit run");
-        let coalesced =
-            run_population(&plan, &PopulationConfig { emit_coalesce: 8, ..bulk.clone() })
-                .expect("coalesced emit run");
-        let coalesced_sharded = run_population(
-            &plan,
-            &PopulationConfig { emit_coalesce: 8, shards: 4, ..bulk.clone() },
-        )
-        .expect("coalesced sharded run");
-        assert_eq!(
-            coalesced.fingerprint,
-            coalesced_sharded.fingerprint,
-            "E22: shard count leaked into coalesced emit at {}",
-            tier.name()
-        );
-        assert!(coalesced.coalesced_frames > 0, "E22: coalesce 8 never built a frame");
-        assert_eq!(
-            (seq.completed, seq.replies),
-            (coalesced.completed, coalesced.replies),
-            "E22: coalescing changed business outcomes at {}",
-            tier.name()
-        );
-        let per_doc = |r: &b2b_bench::population::PopulationReport| {
-            r.alloc.allocations as f64 / r.routed_docs.max(1) as f64
-        };
-        let (seq_allocs, coalesced_allocs) = (per_doc(&seq), per_doc(&coalesced));
-        println!(
-            "population {} ({} sessions, bulk waves): {seq_allocs:.1} allocs/routed doc \
-             per-document -> {coalesced_allocs:.1} coalesced ({} frames)",
-            tier.name(),
-            plan.traffic.len(),
-            coalesced.coalesced_frames,
-        );
-        if tier == SizeTier::Medium {
-            assert!(
-                coalesced_allocs < e21_baseline,
-                "E22: Medium-tier coalesced emit must beat E21's {e21_baseline:.0} \
-                 allocs/routed doc, got {coalesced_allocs:.1}"
-            );
-            println!(
-                "  vs E21 baseline ({e21_baseline:.0} allocs/routed doc): {:.1} saved",
-                e21_baseline - coalesced_allocs
-            );
-        }
-        tier_rows.push(format!(
-            "    {{\"tier\": \"{}\", \"seq_allocs_per_routed_doc\": {seq_allocs:.1}, \
-             \"coalesced_allocs_per_routed_doc\": {coalesced_allocs:.1}, \
-             \"coalesced_frames\": {}}}",
-            tier.name(),
-            coalesced.coalesced_frames,
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"experiment\": \"emit\",\n  \"docs\": {DOCS},\n  \"coalesce\": {COALESCE},\n  \
-         \"codecs\": [\n{}\n  ],\n  \"population\": [\n{}\n  ],\n  \
-         \"e21_baseline_allocs_per_routed_doc\": {e21_baseline:.1}\n}}\n",
-        codec_rows.join(",\n"),
-        tier_rows.join(",\n"),
-    );
-    if let Err(e) = std::fs::write("BENCH_emit.json", &json) {
-        println!("(BENCH_emit.json not written: {e})");
-    } else {
-        println!("wrote BENCH_emit.json");
-    }
-}
-
-/// `--quick`: the identity assertions of E15/E16/E17/E18 with no timing
+/// `--quick`: the identity assertions of E15-E21 with no timing
 /// loops, cheap enough for every CI run.
 fn quick_identity() {
     use b2b_document::formats::sample_edi_po;
@@ -2450,38 +2239,6 @@ fn quick_identity() {
             flat.base.idle_sessions,
             flat.grown.idle_sessions,
             flat.max_drift() * 100.0,
-        );
-    }
-
-    // E22: a Small-tier bulk-wave population run with 8-doc coalesced
-    // frames is byte-identical across shard counts, business-identical
-    // to per-document emit, and really built frames.
-    {
-        use b2b_bench::population::{
-            run_population, PopulationConfig, PopulationPlan, DEFAULT_POPULATION_SEED,
-        };
-        let plan = PopulationPlan::generate(SizeTier::Small, DEFAULT_POPULATION_SEED);
-        let bulk = PopulationConfig { bulk_initiate: true, ..Default::default() };
-        let seq = run_population(&plan, &bulk).expect("E22 per-document emit");
-        let coalesced =
-            run_population(&plan, &PopulationConfig { emit_coalesce: 8, ..bulk.clone() })
-                .expect("E22 coalesced emit");
-        let coalesced_sharded =
-            run_population(&plan, &PopulationConfig { emit_coalesce: 8, shards: 4, ..bulk })
-                .expect("E22 coalesced sharded emit");
-        assert_eq!(
-            coalesced.fingerprint, coalesced_sharded.fingerprint,
-            "E22: shard count leaked into coalesced emit"
-        );
-        assert!(coalesced.coalesced_frames > 0, "E22: the frame coalescer never ran");
-        assert_eq!(
-            (seq.completed, seq.replies),
-            (coalesced.completed, coalesced.replies),
-            "E22: frame coalescing changed business outcomes"
-        );
-        println!(
-            "  E22: {} coalesced frames shard-invariant with identical outcomes",
-            coalesced.coalesced_frames,
         );
     }
 }

@@ -302,12 +302,8 @@ pub struct PopulationConfig {
     pub full_partition: bool,
     /// Inject wire faults: 0.5% loss + 1% duplicates (all seeded).
     pub faults: bool,
-    /// Max consecutive same-partner outbound documents per wire frame
-    /// (1 = classic per-document payloads).
-    pub emit_coalesce: usize,
     /// Initiate each traffic wave with deferred settles: the whole
-    /// wave's RFQs drain through *one* settle pass — the bulk shape
-    /// that gives the frame coalescer consecutive same-partner sends.
+    /// wave's RFQs drain through *one* settle pass and one emit pass.
     /// Off = E21's classic one-settle-per-initiate traffic.
     pub bulk_initiate: bool,
 }
@@ -319,7 +315,6 @@ impl Default for PopulationConfig {
             interpreted: false,
             full_partition: false,
             faults: true,
-            emit_coalesce: 1,
             bulk_initiate: false,
         }
     }
@@ -434,7 +429,6 @@ impl Population {
         hub.set_interpreted_transforms(cfg.interpreted);
         hub.set_interpreted_rules(cfg.interpreted);
         hub.set_full_partition_settle(cfg.full_partition);
-        hub.set_emit_coalesce(cfg.emit_coalesce);
         let mut partners = Vec::with_capacity(plan.partners.len());
         let mut agreement_ids = Vec::with_capacity(plan.partners.len());
         for (i, spec) in plan.partners.iter().enumerate() {
@@ -517,8 +511,7 @@ impl Population {
 
     /// Initiates one session toward partner `index` with the settle
     /// deferred to the next [`step`](Self::step): a wave initiated this
-    /// way drains through one emit pass, so consecutive same-partner
-    /// RFQs can coalesce into shared frames.
+    /// way drains through one emit pass.
     pub fn initiate_deferred(&mut self, index: usize) -> Result<CorrelationId> {
         let rfq = self.next_rfq();
         self.hub.initiate_deferred(&self.agreement_ids[index], rfq)
@@ -592,9 +585,6 @@ pub struct PopulationReport {
     pub sim_ms: u64,
     /// Hub documents routed to sessions.
     pub routed_docs: u64,
-    /// Multi-document wire frames the hub's emit coalescer built (0 at
-    /// `emit_coalesce` 1).
-    pub coalesced_frames: u64,
     /// Allocator traffic of the traffic phase (hub + partner sims).
     pub alloc: crate::alloc_count::AllocDelta,
     /// Hub settle counters at the end of the run.
@@ -680,7 +670,6 @@ pub fn run_population(plan: &PopulationPlan, cfg: &PopulationConfig) -> Result<P
         wall_ms,
         sim_ms: pop.net.now().as_millis() - sim_start,
         routed_docs: profile.counters.routed_documents,
-        coalesced_frames: profile.counters.coalesced_frames,
         alloc,
         settle,
         memory: pop.hub.session_memory(),
@@ -889,7 +878,7 @@ mod tests {
     }
 
     #[test]
-    fn bulk_waves_match_per_initiate_runs_and_coalesce_across_shards() {
+    fn bulk_waves_match_per_initiate_runs() {
         let plan = PopulationPlan::generate(SizeTier::Tiny, 11);
         let classic = run_population(&plan, &PopulationConfig::default()).expect("classic");
         let bulk_cfg = PopulationConfig { bulk_initiate: true, ..PopulationConfig::default() };
@@ -898,18 +887,5 @@ mod tests {
         // population computes: completions and replies must agree.
         assert_eq!(classic.completed, bulk.completed);
         assert_eq!(classic.replies, bulk.replies);
-        // Coalesce > 1 changes the envelope count, so on this lossy network
-        // it lawfully draws a different fault sequence than coalesce = 1;
-        // what must still hold is shard-invariance within the mode.
-        let coalesced_cfg = PopulationConfig { emit_coalesce: 8, ..bulk_cfg };
-        let coalesced = run_population(&plan, &coalesced_cfg).expect("coalesced");
-        let coalesced_sharded =
-            run_population(&plan, &PopulationConfig { shards: 4, ..coalesced_cfg })
-                .expect("coalesced/4sh");
-        assert_eq!(
-            coalesced.fingerprint, coalesced_sharded.fingerprint,
-            "coalesced run diverged across shard counts"
-        );
-        assert!(coalesced.coalesced_frames > 0, "coalesce=8 must emit multi-part frames");
     }
 }

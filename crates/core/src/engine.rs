@@ -95,40 +95,6 @@ pub(crate) struct PendingSend {
     pub(crate) deadline_ms: Option<u64>,
 }
 
-/// The session(s) owning one unacknowledged wire send. Almost always a
-/// single session; a coalesced batch frame (PR 10) carries one document
-/// per owning session, in frame order, so acks and failures can be
-/// booked per session and a poisoned frame can be split back into
-/// per-document dead letters.
-#[derive(Debug, Clone)]
-pub(crate) enum WireOwners {
-    /// One payload, one owning session.
-    One(usize),
-    /// A coalesced frame: owning session of each document, in order.
-    Many(Vec<usize>),
-}
-
-impl WireOwners {
-    /// The owning sessions as a slice, regardless of arity.
-    pub(crate) fn as_slice(&self) -> &[usize] {
-        match self {
-            Self::One(index) => std::slice::from_ref(index),
-            Self::Many(indices) => indices,
-        }
-    }
-}
-
-/// One partially filled coalesced frame: documents already encoded for
-/// the wire, waiting for the emit pass to flush them as a single
-/// [`b2b_network::WireClass::Batch`] envelope.
-#[derive(Debug, Default)]
-pub(crate) struct FrameAcc {
-    /// Owning session of each part, in frame order.
-    pub(crate) owners: Vec<usize>,
-    /// Encoded wire bytes of each part, in frame order.
-    pub(crate) parts: Vec<Bytes>,
-}
-
 /// The integration engine of one enterprise.
 pub struct IntegrationEngine {
     pub(crate) name: String,
@@ -144,9 +110,9 @@ pub struct IntegrationEngine {
     pub(crate) receipt_deadlines: BTreeMap<String, u64>,
     pub(crate) backends: BTreeMap<String, ApplicationProcess>,
     pub(crate) table: SessionTable,
-    /// Unacknowledged wire payloads → owning session(s). BTreeMap so the
+    /// Unacknowledged wire payloads → owning session. BTreeMap so the
     /// per-pump ack sweep visits entries in a deterministic order.
-    pub(crate) outstanding_wire: BTreeMap<MessageId, WireOwners>,
+    pub(crate) outstanding_wire: BTreeMap<MessageId, usize>,
     /// Partner breakers, poison ladders, and shed counters.
     pub(crate) health: PartnerHealth,
     /// Outbound sends queued behind the pump send budget, FIFO.
@@ -158,15 +124,6 @@ pub struct IntegrationEngine {
     pub(crate) stats: IntegrationStats,
     /// Worker count for the execute stage (`B2B_SHARDS`, default 1).
     pub(crate) shards: usize,
-    /// Max consecutive same-partner documents coalesced into one wire
-    /// frame (`B2B_EMIT_COALESCE`, default 1 = no frames).
-    pub(crate) emit_coalesce: usize,
-    /// Partially filled coalesced frames of the current emit pass, keyed
-    /// by (endpoint, format, deadline). BTreeMap so the end-of-pass
-    /// flush walks groups in a deterministic order.
-    pub(crate) emit_frames: BTreeMap<(EndpointId, FormatId, Option<u64>), FrameAcc>,
-    /// Reused scratch for assembling batch frames.
-    pub(crate) frame_scratch: Vec<u8>,
     /// Per-pump-stage counters and timers (experiment E16).
     pub(crate) profile: StageProfile,
 }
@@ -214,14 +171,6 @@ impl IntegrationEngine {
         if std::env::var("B2B_RULES").is_ok_and(|v| v == "interpreted") {
             wf.rules_mut().set_interpreted(true);
         }
-        // `B2B_EMIT_COALESCE=<n>` coalesces up to n consecutive outbound
-        // documents to the same partner into one wire frame; the default
-        // of 1 sends classic per-document payloads.
-        let emit_coalesce = std::env::var("B2B_EMIT_COALESCE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1);
         Ok(Self {
             name: name.to_string(),
             endpoint,
@@ -239,9 +188,6 @@ impl IntegrationEngine {
             replay_origins: BTreeMap::new(),
             stats: IntegrationStats::default(),
             shards,
-            emit_coalesce,
-            emit_frames: BTreeMap::new(),
-            frame_scratch: Vec::new(),
             profile: StageProfile::default(),
         })
     }
@@ -303,16 +249,6 @@ impl IntegrationEngine {
     /// byte-identical to this; production code never needs it.
     pub fn set_full_partition_settle(&mut self, full: bool) {
         self.wf.set_full_partition_settle(full);
-    }
-
-    /// Sets the max consecutive same-partner outbound documents
-    /// coalesced into one wire frame (clamped to ≥ 1; `1` = classic
-    /// per-document payloads). Coalescing changes wire-level framing and
-    /// message ids but never business outcomes: the receiving endpoint
-    /// splits an intact frame back into per-document payloads, and a
-    /// failed frame dead-letters per document.
-    pub fn set_emit_coalesce(&mut self, coalesce: usize) {
-        self.emit_coalesce = coalesce.max(1);
     }
 
     /// Measured retained memory of the session table — the
@@ -504,8 +440,7 @@ impl IntegrationEngine {
     /// the session's instances are created and scheduled but nothing
     /// moves until the next [`pump`](Self::pump) (or another initiate)
     /// settles. Initiating a whole wave this way lets one settle pass
-    /// drain every first-leg document through a single emit pass —
-    /// the bulk-traffic shape frame coalescing is built for.
+    /// drain every first-leg document through a single emit pass.
     pub fn initiate_deferred(&mut self, agreement_id: &str, po: Document) -> Result<CorrelationId> {
         let agreement = self
             .agreements
@@ -561,7 +496,7 @@ impl IntegrationEngine {
     /// State of the session(s) for a correlation id. With several
     /// sessions under one correlation (broadcast), the aggregate is
     /// Completed only when all are, and Failed when any is. O(1) in the
-    /// number of sessions (cached in the [`SessionTable`]).
+    /// number of sessions (cached in the `SessionTable`).
     pub fn session_state(&self, correlation: &CorrelationId) -> SessionState {
         self.table.aggregate_state(correlation)
     }
@@ -580,7 +515,7 @@ impl IntegrationEngine {
     }
 
     /// Number of completed sessions. O(1): maintained incrementally by
-    /// the [`SessionTable`].
+    /// the `SessionTable`.
     pub fn completed_sessions(&self) -> usize {
         self.table.completed_sessions()
     }
@@ -648,7 +583,7 @@ impl IntegrationEngine {
                     envelope.payload.clone(),
                     None,
                 )?;
-                self.outstanding_wire.insert(msg.clone(), WireOwners::One(index));
+                self.outstanding_wire.insert(msg.clone(), index);
                 // Remember where this message came from: if the replay
                 // fails again, the relapse letter links back to the
                 // *first* quarantine (chains collapse to the root).

@@ -186,25 +186,20 @@ pub struct StageCounters {
     /// Outbox documents the emit stage routed between instances / onto
     /// the wire.
     pub emitted_documents: u64,
-    /// Batch frames sent on the wire, each coalescing ≥ 2 consecutive
-    /// outbound documents to one partner (PR 10).
-    pub coalesced_frames: u64,
 }
 
 impl fmt::Display for StageCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} pumps, edge {}+{}n+{}d, {} routed, {} settles, {} emitted, \
-             {} frames",
+            "{} pumps, edge {}+{}n+{}d, {} routed, {} settles, {} emitted",
             self.pumps,
             self.edge_payloads,
             self.edge_notices,
             self.edge_duplicates,
             self.routed_documents,
             self.settle_passes,
-            self.emitted_documents,
-            self.coalesced_frames
+            self.emitted_documents
         )
     }
 }

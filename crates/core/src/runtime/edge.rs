@@ -145,19 +145,6 @@ impl Edge {
         }
     }
 
-    /// Sends a pre-built coalesced batch frame reliably as one unit; the
-    /// receiving endpoint splits it back into per-document payloads.
-    pub fn send_batch(
-        &mut self,
-        net: &mut SimNetwork,
-        to: &EndpointId,
-        format: FormatId,
-        frame: Bytes,
-        deadline_ms: Option<u64>,
-    ) -> b2b_network::Result<MessageId> {
-        self.reliable.send_batch(net, to, format, frame, deadline_ms)
-    }
-
     /// Sends a failure notice reliably.
     pub fn send_notice(
         &mut self,

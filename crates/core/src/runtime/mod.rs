@@ -25,17 +25,12 @@ pub mod route;
 pub use edge::EdgeError;
 pub use route::RouteError;
 
-use crate::engine::{IntegrationEngine, WireOwners};
+use crate::engine::IntegrationEngine;
 use crate::error::Result;
 use crate::session::SessionState;
-use b2b_document::Document;
-use b2b_network::{
-    decode_batch_frame, DeliveryStatus, EndpointId, Envelope, MessageId, SimNetwork, WireClass,
-};
+use b2b_network::{DeliveryStatus, EndpointId, Envelope, MessageId, SimNetwork};
 use b2b_protocol::FailureNotice;
-use b2b_wfms::{ChannelId, InstanceId};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 impl IntegrationEngine {
@@ -108,76 +103,31 @@ impl IntegrationEngine {
         Ok(())
     }
 
-    /// Handles one permanently failed wire envelope: every owning session
+    /// Handles one permanently failed wire envelope: its owning session
     /// fails, the envelope is quarantined (linked to its origin letter if
     /// it was a replay), and the failure feeds the partner's breaker —
     /// tripping it abandons every other outstanding send on that link.
-    ///
-    /// A failed coalesced frame is accounted per document: each owning
-    /// session fails, the frame splits into per-document dead letters,
-    /// and the breaker is fed one failure per document — the same ledger
-    /// a sequential run of per-document sends would have produced.
     fn fail_wire_delivery(&mut self, net: &mut SimNetwork, envelope: Envelope) -> Result<()> {
         let attempts = self.edge.attempts(&envelope.id);
-        if let Some(owners) = self.outstanding_wire.remove(&envelope.id) {
-            for &index in owners.as_slice() {
-                self.stats.delivery_failures += 1;
-                self.table.mark_failure(
-                    index,
-                    format!(
-                        "wire delivery of {} failed permanently after {attempts} attempts",
-                        envelope.id
-                    ),
-                    true,
-                );
-            }
+        if let Some(index) = self.outstanding_wire.remove(&envelope.id) {
+            self.stats.delivery_failures += 1;
+            self.table.mark_failure(
+                index,
+                format!(
+                    "wire delivery of {} failed permanently after {attempts} attempts",
+                    envelope.id
+                ),
+                true,
+            );
         }
         let partner = self.partners.name_of(&envelope.to).ok().map(str::to_string);
-        let letters = self.quarantine_split(net, envelope, attempts);
+        self.quarantine_delivery_failure(envelope, attempts, net.now());
         if let Some(partner) = partner {
-            for _ in 0..letters {
-                // Once a failure trips the breaker open, further calls
-                // are no-ops, so per-document accounting cannot
-                // double-trip.
-                if self.health.record_failure(&partner, net.now()) {
-                    self.trip_partner(net, &partner)?;
-                }
+            if self.health.record_failure(&partner, net.now()) {
+                self.trip_partner(net, &partner)?;
             }
         }
         Ok(())
-    }
-
-    /// Quarantines a permanently failed wire envelope, splitting a
-    /// coalesced batch frame back into per-document dead letters (each a
-    /// plain payload envelope an operator can inspect and replay
-    /// individually) so the dead-letter queue never learns about frames.
-    /// Returns how many letters were written.
-    pub(crate) fn quarantine_split(
-        &mut self,
-        net: &mut SimNetwork,
-        envelope: Envelope,
-        attempts: u32,
-    ) -> usize {
-        if envelope.class == WireClass::Batch {
-            if let Some(parts) = decode_batch_frame(&envelope.payload) {
-                let count = parts.len();
-                for part in parts {
-                    let id = net.alloc_message_id();
-                    let letter = Envelope::payload_with_id(
-                        id,
-                        envelope.from.clone(),
-                        envelope.to.clone(),
-                        envelope.format.clone(),
-                        part,
-                        envelope.sent_at,
-                    );
-                    self.quarantine_delivery_failure(letter, attempts, net.now());
-                }
-                return count;
-            }
-        }
-        self.quarantine_delivery_failure(envelope, attempts, net.now());
-        1
     }
 
     /// Sweeps the outstanding-wire ledger for acknowledged messages:
@@ -185,21 +135,17 @@ impl IntegrationEngine {
     /// and its ledger entry is reclaimed (acknowledged entries used to
     /// accumulate for the life of the engine).
     fn sweep_acknowledged(&mut self) {
-        let acked: Vec<(MessageId, WireOwners)> = self
+        let acked: Vec<(MessageId, usize)> = self
             .outstanding_wire
             .iter()
             .filter(|(id, _)| self.edge.delivery_status(id) == DeliveryStatus::Acknowledged)
-            .map(|(id, owners)| (id.clone(), owners.clone()))
+            .map(|(id, &index)| (id.clone(), index))
             .collect();
-        for (id, owners) in acked {
+        for (id, index) in acked {
             self.outstanding_wire.remove(&id);
             self.replay_origins.remove(&id);
-            // An acked frame is a delivery success per document, mirroring
-            // the per-document failures a failed frame books.
-            for &index in owners.as_slice() {
-                let partner = self.table.session(index).partner.clone();
-                self.health.record_success(&partner);
-            }
+            let partner = self.table.session(index).partner.clone();
+            self.health.record_success(&partner);
         }
     }
 
@@ -283,7 +229,7 @@ impl IntegrationEngine {
                 pending.bytes,
                 pending.deadline_ms,
             )?;
-            self.outstanding_wire.insert(msg, WireOwners::One(pending.session));
+            self.outstanding_wire.insert(msg, pending.session);
             self.stats.wire_sent += 1;
             budget -= 1;
         }
@@ -314,26 +260,15 @@ impl IntegrationEngine {
             }
             let emit_started = Instant::now();
             self.profile.counters.emitted_documents += outputs.len() as u64;
-            self.emit_outputs(net, outputs)?;
+            // Wire-bound documents encode inline, in canonical order.
+            for (from, channel, doc) in outputs {
+                self.route_one(net, from, &channel, doc)?;
+            }
             self.profile.timers.emit_ns += emit_started.elapsed().as_nanos() as u64;
         }
         let touched = self.wf.drain_touched();
         self.table.refresh_instances(&self.wf, &touched);
         Ok(())
-    }
-
-    /// Routes one emit pass's outbox through [`route_one`](Self::route_one)
-    /// in canonical outbox order; wire-bound documents encode inline.
-    /// Coalesced frames accumulated during the pass are flushed at its end.
-    fn emit_outputs(
-        &mut self,
-        net: &mut SimNetwork,
-        outputs: Vec<(InstanceId, ChannelId, Arc<Document>)>,
-    ) -> Result<()> {
-        for (from, channel, doc) in outputs {
-            self.route_one(net, from, &channel, doc)?;
-        }
-        self.flush_emit_frames(net)
     }
 
     /// Sends a failure notification for every failed, not-yet-notified

@@ -11,7 +11,7 @@
 use crate::binding::{backend_binding_type_id, wire_binding_type_id, BindingRole};
 use crate::channels;
 use crate::deadletter::DeadLetterReason;
-use crate::engine::{IntegrationEngine, PendingSend, WireOwners, SELECT_BACKEND_RULE};
+use crate::engine::{IntegrationEngine, PendingSend, SELECT_BACKEND_RULE};
 use crate::error::{IntegrationError, Result};
 use crate::private_process::{
     initiator_private_id, quote_generation_id, responder_private_id, rfq_submission_id,
@@ -119,22 +119,20 @@ impl IntegrationEngine {
         let endpoint = p.endpoint.clone();
         for envelope in self.edge.abandon_to(&endpoint) {
             let attempts = self.edge.attempts(&envelope.id);
-            if let Some(owners) = self.outstanding_wire.remove(&envelope.id) {
-                for &index in owners.as_slice() {
-                    self.stats.delivery_failures += 1;
-                    self.health.stats_mut().fast_failed_sessions += 1;
-                    self.table.mark_failure(
-                        index,
-                        format!(
-                            "circuit breaker tripped for `{partner}`: {} abandoned after \
-                             {attempts} attempts",
-                            envelope.id
-                        ),
-                        true,
-                    );
-                }
+            if let Some(index) = self.outstanding_wire.remove(&envelope.id) {
+                self.stats.delivery_failures += 1;
+                self.health.stats_mut().fast_failed_sessions += 1;
+                self.table.mark_failure(
+                    index,
+                    format!(
+                        "circuit breaker tripped for `{partner}`: {} abandoned after {attempts} \
+                         attempts",
+                        envelope.id
+                    ),
+                    true,
+                );
             }
-            self.quarantine_split(net, envelope, attempts);
+            self.quarantine_delivery_failure(envelope, attempts, net.now());
         }
         Ok(())
     }
@@ -394,24 +392,9 @@ impl IntegrationEngine {
                     // Unbounded budget: send directly, exactly as before
                     // the health subsystem existed.
                     let bytes = self.edge.encode(&doc)?;
-                    if self.emit_coalesce > 1 {
-                        // Coalescing on: the document joins its partner's
-                        // frame instead of going out alone. Only this
-                        // fast path coalesces — bounded-budget sends keep
-                        // their per-document queue semantics.
-                        self.queue_frame_doc(
-                            net,
-                            index,
-                            partner_endpoint,
-                            format,
-                            deadline,
-                            bytes,
-                        )?;
-                        return Ok(());
-                    }
                     let msg =
                         self.edge.send_payload(net, &partner_endpoint, format, bytes, deadline)?;
-                    self.outstanding_wire.insert(msg, WireOwners::One(index));
+                    self.outstanding_wire.insert(msg, index);
                     self.stats.wire_sent += 1;
                     return Ok(());
                 }
@@ -524,71 +507,6 @@ impl IntegrationEngine {
                 }
                 .into())
             }
-        }
-        Ok(())
-    }
-
-    /// Adds one encoded outbound document to its partner's pending
-    /// coalesced frame, flushing the frame as soon as it reaches the
-    /// configured size. Frames still open when the emit pass ends are
-    /// flushed by [`flush_emit_frames`](Self::flush_emit_frames).
-    fn queue_frame_doc(
-        &mut self,
-        net: &mut SimNetwork,
-        index: usize,
-        endpoint: b2b_network::EndpointId,
-        format: b2b_document::FormatId,
-        deadline: Option<u64>,
-        bytes: b2b_network::Bytes,
-    ) -> Result<()> {
-        let key = (endpoint, format, deadline);
-        let acc = self.emit_frames.entry(key.clone()).or_default();
-        acc.owners.push(index);
-        acc.parts.push(bytes);
-        if acc.parts.len() >= self.emit_coalesce {
-            let acc = self.emit_frames.remove(&key).expect("entry just filled");
-            self.flush_frame(net, key, acc)?;
-        }
-        Ok(())
-    }
-
-    /// Sends one accumulated frame: a single-document frame degenerates
-    /// to a plain payload send (identical to the uncoalesced path); a
-    /// multi-document frame goes out as one checksummed `Batch` envelope
-    /// owned by every contributing session.
-    fn flush_frame(
-        &mut self,
-        net: &mut SimNetwork,
-        key: (b2b_network::EndpointId, b2b_document::FormatId, Option<u64>),
-        acc: crate::engine::FrameAcc,
-    ) -> Result<()> {
-        let (endpoint, format, deadline) = key;
-        if acc.parts.len() == 1 {
-            let bytes = acc.parts.into_iter().next().expect("checked length");
-            let msg = self.edge.send_payload(net, &endpoint, format, bytes, deadline)?;
-            self.outstanding_wire.insert(msg, WireOwners::One(acc.owners[0]));
-            self.stats.wire_sent += 1;
-            return Ok(());
-        }
-        self.frame_scratch.clear();
-        b2b_network::encode_batch_frame(&acc.parts, &mut self.frame_scratch);
-        let frame = b2b_network::Bytes::copy_from_slice(&self.frame_scratch);
-        let msg = self.edge.send_batch(net, &endpoint, format, frame, deadline)?;
-        // `wire_sent` counts documents, not envelopes, so the stat is
-        // coalescing-invariant.
-        self.stats.wire_sent += acc.parts.len() as u64;
-        self.profile.counters.coalesced_frames += 1;
-        self.outstanding_wire.insert(msg, WireOwners::Many(acc.owners));
-        Ok(())
-    }
-
-    /// Flushes every frame still open at the end of an emit pass, in
-    /// (endpoint, format, deadline) order — deterministic because the
-    /// map is ordered and its content is a pure function of the
-    /// canonical outbox.
-    pub(crate) fn flush_emit_frames(&mut self, net: &mut SimNetwork) -> Result<()> {
-        while let Some((key, acc)) = self.emit_frames.pop_first() {
-            self.flush_frame(net, key, acc)?;
         }
         Ok(())
     }

@@ -366,89 +366,3 @@ fn truncated_binary_payload_feeds_the_poison_ladder() {
     assert_eq!(seller.health_stats().poison_trips, 1);
     assert_eq!(seller.breaker_state(BUYER), BreakerState::Open);
 }
-
-/// A poisoned coalesced frame splits back into per-document letters: when
-/// the emit coalescer packs two sessions' replies into one batch frame and
-/// that frame misses its receipt deadline, each owning session fails and
-/// each document gets its *own* dead letter (payload class, distinct ids)
-/// — the frame is an envelope optimization, never a failure domain.
-#[test]
-fn failed_batch_frame_splits_into_per_document_dead_letters() {
-    use b2b_network::WireClass;
-
-    // Fixed 6 s one-way latency: both POs (no deadline on the plain buyer
-    // process) arrive at the seller in the same pump window, so the
-    // seller's two replies share one emit pass and coalesce; the replies
-    // *do* carry the 5 s receipt deadline, which a 12 s ack round trip
-    // can never meet.
-    let faults =
-        FaultConfig { min_delay_ms: 6_000, max_delay_ms: 6_000, ..FaultConfig::reliable() };
-    let mut net = SimNetwork::new(faults, 29);
-    let cfg = ReliableConfig::fixed(1_000, 50);
-    let mut buyer = IntegrationEngine::with_reliable_config(BUYER, &mut net, cfg.clone()).unwrap();
-    let mut seller = IntegrationEngine::with_reliable_config(SELLER, &mut net, cfg).unwrap();
-    buyer.add_partner(TradingPartner::new(SELLER));
-    seller.add_partner(TradingPartner::new(BUYER));
-    buyer
-        .add_backend(ApplicationProcess::new(Box::new(SapSystem::new(AckPolicy::AcceptAll))))
-        .unwrap();
-    seller
-        .add_backend(ApplicationProcess::new(Box::new(SapSystem::new(AckPolicy::AcceptAll))))
-        .unwrap();
-    seller_rules(&mut seller).unwrap();
-    seller.set_emit_coalesce(8);
-    // Mirror of the receipt-timeout setup: only the *seller* models
-    // WaitReceipt, so only its reply frame carries the deadline.
-    let (init_def, _) = pip3a4_processes().unwrap();
-    let (_, resp_def) = pip3a4_with_explicit_acks().unwrap();
-    let agreement =
-        TradingPartnerAgreement::between("pip3a4-acks", BUYER, SELLER, &init_def, &resp_def, true)
-            .unwrap();
-    buyer.install_agreement(agreement.clone(), &init_def, &resp_def).unwrap();
-    seller.install_agreement(agreement, &init_def, &resp_def).unwrap();
-
-    let template = TwoEnterpriseScenario::new(FaultConfig::reliable(), 1).unwrap();
-    let mut correlations = Vec::new();
-    for (name, amount) in [("frame-a", 1_000), ("frame-b", 2_000)] {
-        let po = template.po(name, amount).unwrap();
-        correlations.push(buyer.initiate(&mut net, "pip3a4-acks", po).unwrap());
-    }
-    for _ in 0..6_000 {
-        net.advance(10);
-        buyer.pump(&mut net).unwrap();
-        seller.pump(&mut net).unwrap();
-        if correlations.iter().all(|c| matches!(seller.session_state(c), SessionState::Failed(_))) {
-            break;
-        }
-    }
-
-    // The replies really did travel as one coalesced frame...
-    assert!(
-        seller.stage_profile().counters.coalesced_frames >= 1,
-        "seller never coalesced a frame: {:?}",
-        seller.stage_profile().counters
-    );
-    // ...and its failure was booked per owning session, not per envelope.
-    for c in &correlations {
-        assert!(
-            matches!(seller.session_state(c), SessionState::Failed(_)),
-            "session {c} should fail at the receipt deadline"
-        );
-    }
-    assert_eq!(seller.stats().delivery_failures, 2, "one failure per owning session");
-    assert_eq!(seller.stats().notifications_sent, 2, "each counterparty session notified");
-    let letters: Vec<_> = seller
-        .dead_letters()
-        .iter()
-        .filter(|l| matches!(l.reason, DeadLetterReason::DeliveryFailure { .. }))
-        .collect();
-    assert_eq!(letters.len(), 2, "the poisoned frame split into per-document letters");
-    for letter in &letters {
-        assert_eq!(
-            letter.envelope.class,
-            WireClass::Payload,
-            "each split letter holds one document, not the frame"
-        );
-    }
-    assert_ne!(letters[0].envelope.id, letters[1].envelope.id, "split letters get fresh ids");
-}

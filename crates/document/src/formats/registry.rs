@@ -63,7 +63,7 @@ impl FormatRegistry {
 
     /// Decodes wire bytes claimed to be in `format`. Bytes a registered
     /// codec rejects fail as [`DocumentError::Parse`], whatever the codec
-    /// tripped over (see [`as_parse_error`]).
+    /// tripped over (see `as_parse_error`).
     pub fn decode(&self, format: &FormatId, bytes: &[u8]) -> Result<Document> {
         self.codec(format)?.decode(bytes).map_err(|e| as_parse_error(format, e))
     }

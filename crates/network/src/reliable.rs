@@ -21,7 +21,7 @@
 
 use crate::clock::SimTime;
 use crate::error::{NetworkError, Result};
-use crate::message::{decode_batch_frame, EndpointId, Envelope, MessageId, WireClass};
+use crate::message::{EndpointId, Envelope, MessageId, WireClass};
 use crate::sim::SimNetwork;
 use b2b_document::FormatId;
 use bytes::Bytes;
@@ -324,26 +324,6 @@ impl ReliableEndpoint {
         self.send_envelope(net, envelope, deadline_ms)
     }
 
-    /// Sends a pre-built batch frame (see
-    /// [`encode_batch_frame`](crate::message::encode_batch_frame))
-    /// reliably as a single unit: one checksum, one retransmission timer,
-    /// one acknowledgment for the whole frame. The receiving endpoint
-    /// splits an intact frame back into per-document payload envelopes in
-    /// [`receive`](Self::receive), so layers above it never see frames.
-    pub fn send_batch(
-        &mut self,
-        net: &mut SimNetwork,
-        to: &EndpointId,
-        format: FormatId,
-        frame: Bytes,
-        deadline_ms: Option<u64>,
-    ) -> Result<MessageId> {
-        let id = net.alloc_message_id();
-        let envelope =
-            Envelope::batch_with_id(id, self.id.clone(), to.clone(), format, frame, net.now());
-        self.send_envelope(net, envelope, deadline_ms)
-    }
-
     /// Sends a failure-notification envelope reliably (acked, retried, and
     /// deduplicated like a payload); returns its message id.
     pub fn send_notify(
@@ -482,7 +462,8 @@ impl ReliableEndpoint {
     /// corrupt copies *instead of* acknowledging them), acknowledges and
     /// deduplicates intact payloads, matches acks/NACKs to outstanding
     /// sends, and returns the fresh payload and notification envelopes in
-    /// arrival order (exactly-once upward).
+    /// arrival order (exactly-once upward). Every payload envelope carries
+    /// exactly one business document, as sent.
     pub fn receive(&mut self, net: &mut SimNetwork) -> Result<Vec<Envelope>> {
         Ok(self.receive_with_duplicates(net)?.0)
     }
@@ -540,13 +521,10 @@ impl ReliableEndpoint {
                     self.stats.nack_retransmits += 1;
                     net.send(env)?;
                 }
-                WireClass::Payload | WireClass::Notify | WireClass::Batch => {
+                WireClass::Payload | WireClass::Notify => {
                     if !envelope.verify_integrity() {
                         // Do NOT acknowledge: a corrupt copy must not
-                        // cancel retransmission. NACK to heal faster. A
-                        // corrupt batch frame is NACKed (and later
-                        // retransmitted) as one unit, exactly like a
-                        // corrupt payload.
+                        // cancel retransmission. NACK to heal faster.
                         self.stats.corrupt_rejected += 1;
                         let id = net.alloc_message_id();
                         let nack = Envelope::nack_with_id(
@@ -572,11 +550,7 @@ impl ReliableEndpoint {
                     net.send(ack)?;
                     if self.seen.insert(envelope.id.clone()) {
                         self.stats.delivered += 1;
-                        if envelope.class == WireClass::Batch {
-                            self.split_batch(net, envelope, &mut fresh)?;
-                        } else {
-                            fresh.push(envelope);
-                        }
+                        fresh.push(envelope);
                     } else {
                         self.stats.duplicates_suppressed += 1;
                         duplicates.push(envelope);
@@ -585,38 +559,6 @@ impl ReliableEndpoint {
             }
         }
         Ok((fresh, duplicates))
-    }
-
-    /// Splits a freshly delivered, integrity-checked batch frame into
-    /// per-document payload envelopes (zero-copy slices of the frame),
-    /// each with its own receiver-minted id and checksum, so everything
-    /// above the endpoint sees ordinary payloads. A frame that fails to
-    /// parse (length prefixes disagree with the body despite an intact
-    /// checksum — a sender bug, not line noise) is surfaced whole so the
-    /// edge dead-letters it instead of the endpoint dropping it silently.
-    fn split_batch(
-        &mut self,
-        net: &mut SimNetwork,
-        envelope: Envelope,
-        fresh: &mut Vec<Envelope>,
-    ) -> Result<()> {
-        match decode_batch_frame(&envelope.payload) {
-            Some(parts) => {
-                for part in parts {
-                    let id = net.alloc_message_id();
-                    fresh.push(Envelope::payload_with_id(
-                        id,
-                        envelope.from.clone(),
-                        envelope.to.clone(),
-                        envelope.format.clone(),
-                        part,
-                        envelope.sent_at,
-                    ));
-                }
-            }
-            None => fresh.push(envelope),
-        }
-        Ok(())
     }
 
     /// Like [`receive`](Self::receive), but classifies the fresh
@@ -724,75 +666,6 @@ mod tests {
         let got = pump(&mut net, &mut a, &mut b, 1000);
         assert_eq!(got.len(), 1, "application sees the payload once");
         assert!(b.stats().duplicates_suppressed >= 1);
-    }
-
-    fn frame_of(parts: &[&[u8]]) -> Bytes {
-        let parts: Vec<Bytes> = parts.iter().map(|p| Bytes::copy_from_slice(p)).collect();
-        let mut buf = Vec::new();
-        crate::message::encode_batch_frame(&parts, &mut buf);
-        Bytes::from(buf)
-    }
-
-    #[test]
-    fn batch_frame_splits_into_per_document_payloads() {
-        let mut net = SimNetwork::new(FaultConfig::reliable(), 1);
-        let (mut a, mut b) = pair(&mut net, ReliableConfig::default());
-        let to = b.id().clone();
-        let frame = frame_of(&[b"po-1", b"po-2", b"po-3"]);
-        let id = a.send_batch(&mut net, &to, FormatId::EDI_X12, frame, None).unwrap();
-        let got = pump(&mut net, &mut a, &mut b, 1000);
-        assert_eq!(got.len(), 3, "one frame fans out to three payloads");
-        assert!(got.iter().all(|e| e.class == WireClass::Payload));
-        assert!(got.iter().all(|e| e.verify_integrity()), "split re-seals checksums");
-        let bodies: Vec<&[u8]> = got.iter().map(|e| e.payload.as_ref()).collect();
-        assert_eq!(bodies, vec![&b"po-1"[..], &b"po-2"[..], &b"po-3"[..]], "canonical order");
-        assert_eq!(a.delivery_status(&id), DeliveryStatus::Acknowledged, "acked as one unit");
-        assert_eq!(b.stats().delivered, 1, "the ledger counts the frame, not the documents");
-    }
-
-    #[test]
-    fn duplicated_batch_frame_is_suppressed_as_a_unit() {
-        let mut net = SimNetwork::new(FaultConfig { duplicate: 1.0, ..FaultConfig::reliable() }, 7);
-        let (mut a, mut b) = pair(&mut net, ReliableConfig::default());
-        let to = b.id().clone();
-        let frame = frame_of(&[b"po-1", b"po-2"]);
-        a.send_batch(&mut net, &to, FormatId::EDI_X12, frame, None).unwrap();
-        let got = pump(&mut net, &mut a, &mut b, 1000);
-        assert_eq!(got.len(), 2, "the application sees each document exactly once");
-        assert!(b.stats().duplicates_suppressed >= 1);
-    }
-
-    #[test]
-    fn corrupt_batch_frame_is_nacked_and_healed_by_retransmit() {
-        let mut net = SimNetwork::new(FaultConfig { corrupt: 0.9, ..FaultConfig::reliable() }, 13);
-        let (mut a, mut b) = pair(&mut net, ReliableConfig::fixed(100, 50));
-        let to = b.id().clone();
-        let frame = frame_of(&[b"po-1", b"po-2"]);
-        let id = a.send_batch(&mut net, &to, FormatId::EDI_X12, frame, None).unwrap();
-        let got = pump(&mut net, &mut a, &mut b, 60_000);
-        assert_eq!(got.len(), 2, "the clean retransmit split normally");
-        assert!(b.stats().corrupt_rejected >= 1, "the corrupt copy was NACKed");
-        assert_eq!(a.delivery_status(&id), DeliveryStatus::Acknowledged);
-    }
-
-    #[test]
-    fn malformed_batch_frame_surfaces_whole_for_dead_lettering() {
-        // An intact checksum over a body whose length prefixes lie is a
-        // sender bug; the endpoint must hand it up, not drop it.
-        let mut net = SimNetwork::new(FaultConfig::reliable(), 1);
-        let (mut a, mut b) = pair(&mut net, ReliableConfig::default());
-        let to = b.id().clone();
-        a.send_batch(
-            &mut net,
-            &to,
-            FormatId::EDI_X12,
-            Bytes::from_static(b"\xff\xff\xff\xffgarbage"),
-            None,
-        )
-        .unwrap();
-        let got = pump(&mut net, &mut a, &mut b, 1000);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].class, WireClass::Batch, "surfaced whole, still a frame");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The workflow engine: an interpreter for workflow instances.
 //!
-//! Interpretation itself lives in [`exec`] as free functions over an
-//! [`exec::ExecCtx`] — a shared read-only environment plus mutable
+//! Interpretation itself lives in `exec` as free functions over an
+//! `exec::ExecCtx` — a shared read-only environment plus mutable
 //! instance/queue state. The `Engine` here owns the database and the
 //! volatile state, exposes the sequential API (`run`, `deliver`,
 //! `deliver_to`, `advance_time`), and adds [`Engine::settle`]: a
@@ -375,8 +375,8 @@ impl Engine {
     /// stepping the instance. Staged hosts use this to decouple routing
     /// (single-threaded) from execution ([`Engine::settle`], sharded);
     /// the queued document wakes its receiver in the next settle.
-    /// Documents move by `Arc`, so re-queueing what [`drain_outbox`]
-    /// (Self::drain_outbox) returned is pointer-cheap.
+    /// Documents move by `Arc`, so re-queueing what
+    /// [`drain_outbox`](Self::drain_outbox) returned is pointer-cheap.
     pub fn enqueue_to(
         &mut self,
         instance: InstanceId,

@@ -6,14 +6,15 @@
 //! characters the text formats use as delimiters), the tail truncated,
 //! garbage or a copy of the document itself appended. Decoding the result
 //! must return a document or a `Parse` error and never panic. The edge
-//! test runs mutated payloads through a live hub's pump from a known
-//! partner endpoint and checks that every payload is accounted for.
+//! test runs mutated payloads of every partner wire protocol through a
+//! live hub's pump from a known partner endpoint and checks that every
+//! payload is accounted for.
 
 use proptest::prelude::*;
 use semantic_b2b::document::formats::{
     sample_binary_po, sample_edi_po, sample_oagis_po, sample_oracle_po, sample_rn_po, sample_sap_po,
 };
-use semantic_b2b::document::{Document, DocumentError, FormatId, FormatRegistry};
+use semantic_b2b::document::{Document, DocumentError, FormatRegistry};
 use semantic_b2b::integration::deadletter::DeadLetterReason;
 use semantic_b2b::integration::scenario::{ScenarioProtocol, TwoEnterpriseScenario};
 use semantic_b2b::network::{Bytes, Envelope, FaultConfig};
@@ -108,18 +109,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A hub receives one unmutated and several mutated EDI purchase
-    /// orders from its known buyer. Each payload is decoded exactly once:
-    /// it is either routed (counted in `wire_received`) or dead-lettered
-    /// as a decode failure, and the pump never panics.
+    /// A hub receives one unmutated and several mutated purchase orders
+    /// from its known buyer, on any of the four partner wire protocols.
+    /// Each payload is decoded exactly once: it is either routed (counted
+    /// in `wire_received`) or dead-lettered as a decode failure, and the
+    /// pump never panics.
     #[test]
     fn hub_routes_or_dead_letters_every_mutated_payload(
+        protocol in prop_oneof![
+            Just(ScenarioProtocol::Edi),
+            Just(ScenarioProtocol::RosettaNet),
+            Just(ScenarioProtocol::Oagis),
+            Just(ScenarioProtocol::Binary),
+        ],
         seed in any::<u64>(),
         mutations in prop::collection::vec(mutation(), 1..8),
     ) {
         let mut s =
-            TwoEnterpriseScenario::with_protocol(ScenarioProtocol::Edi, FaultConfig::reliable(), seed)
-                .unwrap();
+            TwoEnterpriseScenario::with_protocol(protocol, FaultConfig::reliable(), seed).unwrap();
         let po = s.po("PO-FUZZ", 1_000).unwrap();
         let ctx = TransformContext::new(
             s.buyer.name(),
@@ -128,7 +135,7 @@ proptest! {
             "fuzz-instance",
         );
         let wire_doc = TransformRegistry::with_builtins()
-            .transform(&po, &FormatId::EDI_X12, &ctx)
+            .transform(&po, &protocol.format(), &ctx)
             .unwrap();
         let valid = FormatRegistry::with_builtins().encode(&wire_doc).unwrap();
 
@@ -142,7 +149,7 @@ proptest! {
                 id,
                 from.clone(),
                 to.clone(),
-                FormatId::EDI_X12,
+                protocol.format(),
                 payload.clone(),
                 s.net.now(),
             );

@@ -413,121 +413,6 @@ proptest! {
     }
 }
 
-/// [`run_settle`], with `coalesce` as the per-partner frame coalescing
-/// cap (1 = one document per envelope).
-fn run_emit(
-    protocol: semantic_b2b::integration::scenario::ScenarioProtocol,
-    faults: FaultConfig,
-    seed: u64,
-    pos: usize,
-    shards: usize,
-    interpreted: bool,
-    coalesce: usize,
-) -> (u64, Fingerprint, Fingerprint) {
-    let mut s = TwoEnterpriseScenario::with_protocol(protocol, faults, seed).unwrap();
-    s.buyer.set_shards(shards);
-    s.seller.set_shards(shards);
-    s.buyer.set_interpreted_transforms(interpreted);
-    s.seller.set_interpreted_transforms(interpreted);
-    s.buyer.set_interpreted_rules(interpreted);
-    s.seller.set_interpreted_rules(interpreted);
-    s.buyer.set_emit_coalesce(coalesce);
-    s.seller.set_emit_coalesce(coalesce);
-    s.buyer.set_partner_policy(PartnerPolicy::permissive());
-    s.seller.set_partner_policy(PartnerPolicy::permissive());
-    for i in 0..pos {
-        let po = s.po(&format!("po-{i}"), 1_000 + i as i64).unwrap();
-        s.submit(po).unwrap();
-    }
-    let elapsed = s.run_until_quiescent(240_000).unwrap();
-    (elapsed, fingerprint(&s.buyer), fingerprint(&s.seller))
-}
-
-proptest! {
-    // Each case is four full scenario runs (2 protocols x 2 shard
-    // counts); fewer cases keep the matrix affordable.
-    #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// At coalesce = 8 the wire framing genuinely changes (fewer
-    /// envelopes, different message ids), so the bar is shard-invariance:
-    /// a coalesced run must be byte-identical to itself across shard
-    /// counts {1, 4}, under arbitrary fault mixes, both dispatch modes,
-    /// and both a text (EDI) and the binary wire protocol. Coalesce = 1
-    /// is covered by `sharded_runs_are_byte_identical_to_sequential` and
-    /// `binary_protocol_fingerprints_are_identical_across_shards`.
-    #[test]
-    fn coalesced_emit_is_identical_across_shards(
-        loss in 0.0f64..0.35,
-        duplicate in 0.0f64..0.25,
-        seed in any::<u64>(),
-        pos in 1usize..5,
-        interpreted in any::<bool>(),
-    ) {
-        use semantic_b2b::integration::scenario::ScenarioProtocol;
-        let faults = FaultConfig {
-            loss, duplicate, corrupt: 0.0, min_delay_ms: 1, max_delay_ms: 40,
-        };
-        for protocol in [ScenarioProtocol::Edi, ScenarioProtocol::Binary] {
-            let coalesced = run_emit(protocol, faults.clone(), seed, pos, 1, interpreted, 8);
-            let coalesced_4 = run_emit(protocol, faults.clone(), seed, pos, 4, interpreted, 8);
-            prop_assert_eq!(
-                &coalesced.0, &coalesced_4.0,
-                "{:?}: elapsed diverged across shards at coalesce 8", protocol
-            );
-            prop_assert_eq!(
-                &coalesced.1, &coalesced_4.1,
-                "{:?}: buyer diverged across shards at coalesce 8", protocol
-            );
-            prop_assert_eq!(
-                &coalesced.2, &coalesced_4.2,
-                "{:?}: seller diverged across shards at coalesce 8", protocol
-            );
-        }
-    }
-}
-
-#[test]
-fn coalesced_emit_preserves_business_outcomes() {
-    // Coalescing changes the wire framing, not the business: on a clean
-    // network (no loss, so the per-message fault draws cannot diverge
-    // into different retransmit histories) a coalesce = 8 run must reach
-    // the same session states, completions, and document-level
-    // integration stats as the per-document (coalesce = 1) path.
-    use semantic_b2b::integration::scenario::ScenarioProtocol;
-    for protocol in [ScenarioProtocol::Edi, ScenarioProtocol::Binary] {
-        let (_, seq_buyer, seq_seller) =
-            run_emit(protocol, FaultConfig::reliable(), 19, 6, 1, false, 1);
-        let (_, buyer, seller) = run_emit(protocol, FaultConfig::reliable(), 19, 6, 4, false, 8);
-        // Each `submit` routes its PO in its own settle pass, so the
-        // buyer's requests go out one at a time; it is the responder —
-        // whose replies to same-window arrivals share an emit pass —
-        // that exercises the coalescer.
-        assert!(
-            buyer.stages.coalesced_frames + seller.stages.coalesced_frames > 0,
-            "{protocol:?}: a six-session clean run must actually coalesce frames \
-             (buyer {:?}, seller {:?})",
-            buyer.stages,
-            seller.stages
-        );
-        for (who, seq, coalesced) in
-            [("buyer", &seq_buyer, &buyer), ("seller", &seq_seller, &seller)]
-        {
-            assert_eq!(seq.stats, coalesced.stats, "{protocol:?}: {who} stats diverged");
-            assert_eq!(seq.states, coalesced.states, "{protocol:?}: {who} states diverged");
-            assert_eq!(
-                seq.completed, coalesced.completed,
-                "{protocol:?}: {who} completions diverged"
-            );
-            assert_eq!(
-                seq.dead_letters.len(),
-                coalesced.dead_letters.len(),
-                "{protocol:?}: {who} dead-letter count diverged"
-            );
-        }
-        assert!(seq_buyer.completed >= 1, "{protocol:?}: at least one session completed");
-    }
-}
-
 #[test]
 fn edge_parses_each_routed_payload_exactly_once() {
     // The edge parses every routed payload once, inline, and suppressed
